@@ -7,7 +7,7 @@
 //! own shard's workers, so first-touch placement homes shards across the
 //! cluster), per-shard pthread worker pools drain per-shard ring-buffer
 //! request queues, and every bucket access happens under a fine-grained
-//! bucket mutex — the access pattern lock-data forwarding exists for.
+//! bucket mutex, so every request exercises the RC lock path.
 //!
 //! Two drivers (mirroring [`traffic::Driver`]):
 //!
@@ -59,39 +59,6 @@ pub fn val_word(key: u64, i: u32) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64
 }
 
-/// Per-shard concurrency adaptation (the placement extension's service
-/// leg): worker pools are sized `max_workers` but only an *active*
-/// prefix dequeues; the open-loop dispatcher moves each shard's active
-/// target at `obs::series` window boundaries, shrinking every pool when
-/// lock/barrier stalls dominate the window's stall mix and growing a
-/// shard when its queue backlog exceeds its pool. Inert unless
-/// observability is on and a series is running (the stall-mix sensor is
-/// [`obs::ObsSink::series_last_window`]); response digests are identical
-/// either way — adaptation moves *when* requests are served, never what
-/// they return.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptParams {
-    /// Lower bound on a shard's active workers (≥ 1).
-    pub min_workers: u32,
-    /// Pool size actually spawned per shard; upper bound on active.
-    pub max_workers: u32,
-    /// Shrink when lock-ish stalls (mutex + barrier + rwlock) reach this
-    /// percentage of the last window's total stall time.
-    pub lock_stall_pct: u32,
-}
-
-impl AdaptParams {
-    /// Defaults around a static pool of `workers` per shard: may halve
-    /// or double it.
-    pub fn around(workers: u32) -> AdaptParams {
-        AdaptParams {
-            min_workers: (workers / 2).max(1),
-            max_workers: workers * 2,
-            lock_stall_pct: 40,
-        }
-    }
-}
-
 /// Service deployment parameters (the store's shape; the workload's
 /// shape lives in [`traffic::TrafficConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,9 +75,6 @@ pub struct ServiceParams {
     pub proc_ns: u64,
     /// Response-wait window before a crash fallback fires, ns.
     pub timeout_ns: u64,
-    /// Per-shard concurrency adaptation; `None` (the default shape)
-    /// reproduces the fixed `workers_per_shard` pools exactly.
-    pub adapt: Option<AdaptParams>,
 }
 
 impl ServiceParams {
@@ -123,14 +87,7 @@ impl ServiceParams {
             queue_cap: 64,
             proc_ns: 500,
             timeout_ns: 2_000_000,
-            adapt: None,
         }
-    }
-
-    /// This deployment with adaptation around its static pool size.
-    pub fn with_adapt(mut self) -> ServiceParams {
-        self.adapt = Some(AdaptParams::around(self.workers_per_shard));
-        self
     }
 }
 
@@ -169,9 +126,6 @@ struct Shard {
     q_m: Mutex,
     not_empty: Cond,
     not_full: Cond,
-    /// Parked-worker cond (adaptation only; `None` keeps the fixed-pool
-    /// runtime state byte-for-byte as before).
-    park: Option<Cond>,
     /// Striped bucket locks.
     locks: Vec<Mutex>,
 }
@@ -190,10 +144,6 @@ struct Plan {
     /// Per-client response mutex/cond (closed loop only).
     client_m: Vec<Mutex>,
     client_c: Vec<Cond>,
-    /// Adaptation region: one `active` word per shard (shard `sh`'s
-    /// target at `base + sh*8`), read/written under that shard's queue
-    /// mutex. `None` when adaptation is off.
-    adapt_active: Option<GAddr>,
     /// Simulated ns the open-loop schedule's clock zero maps to (set
     /// after the ready barrier, before the first enqueue; host-side
     /// plumbing of a deterministic value, not shared service state).
@@ -320,21 +270,10 @@ fn emit_span(p: &Pth, plan: &Plan, r: &Request, start_ns: u64) {
 }
 
 /// Dequeues one item from `shard`'s ring (blocking). Returns the raw
-/// slot word ([`POISON`] tells the worker to exit). With adaptation
-/// (`active` = the shard's active-target address), worker `w` parks on
-/// the shard's park cond while `w >= active`: parked workers never wait
-/// on `not_empty`, so an enqueue signal always lands on a worker that
-/// will consume the item.
-fn dequeue(p: &Pth, s: &Shard, w: u32, active: Option<GAddr>) -> u64 {
+/// slot word ([`POISON`] tells the worker to exit).
+fn dequeue(p: &Pth, s: &Shard) -> u64 {
     p.mutex_lock(s.q_m);
     loop {
-        if let Some(a) = active {
-            if u64::from(w) >= p.read::<u64>(a) {
-                p.cond_wait(s.park.expect("park cond with adaptation"), s.q_m)
-                    .expect("worker cancelled");
-                continue;
-            }
-        }
         let head = p.read::<u64>(s.queue);
         let tail = p.read::<u64>(s.queue + 8);
         if head > tail {
@@ -348,43 +287,6 @@ fn dequeue(p: &Pth, s: &Shard, w: u32, active: Option<GAddr>) -> u64 {
     p.cond_signal(s.not_full);
     p.mutex_unlock(s.q_m);
     item
-}
-
-/// One adaptation step against the last cut series window's stall mix:
-/// lock-ish stalls dominating shrink every pool toward `min_workers`
-/// (contention — fewer workers fight over the bucket locks); otherwise
-/// any shard whose backlog exceeds its active pool grows toward
-/// `max_workers` (queueing — the pool is the bottleneck). Growth
-/// broadcasts the park cond so benched workers re-check their rank.
-fn adapt_adjust(p: &Pth, plan: &Plan, ad: &AdaptParams, stall: &[u64; obs::stall::BUCKETS]) {
-    use obs::stall::Bucket;
-    let base = plan.adapt_active.expect("adjust requires adaptation");
-    let total: u64 = stall.iter().sum();
-    if total == 0 {
-        return;
-    }
-    let lockish = stall[Bucket::MutexWait as usize]
-        + stall[Bucket::BarrierWait as usize]
-        + stall[Bucket::RwWait as usize];
-    let shrink = lockish * 100 >= u64::from(ad.lock_stall_pct) * total;
-    for (sh, s) in plan.shards.iter().enumerate() {
-        let a_addr = base + sh as u64 * 8;
-        p.mutex_lock(s.q_m);
-        let active = p.read::<u64>(a_addr);
-        if shrink {
-            if active > u64::from(ad.min_workers) {
-                p.write::<u64>(a_addr, active - 1);
-            }
-        } else {
-            let head = p.read::<u64>(s.queue);
-            let tail = p.read::<u64>(s.queue + 8);
-            if head - tail > active && active < u64::from(ad.max_workers) {
-                p.write::<u64>(a_addr, active + 1);
-                p.cond_broadcast(s.park.expect("park cond with adaptation"));
-            }
-        }
-        p.mutex_unlock(s.q_m);
-    }
 }
 
 impl Shard {
@@ -456,7 +358,6 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
             q_m: pth.rt().mutex_new(),
             not_empty: pth.rt().cond_new(),
             not_full: pth.rt().cond_new(),
-            park: params.adapt.map(|_| pth.rt().cond_new()),
             locks: (0..params.locks_per_shard)
                 .map(|_| pth.rt().mutex_new())
                 .collect(),
@@ -466,18 +367,6 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
     for id in 0..nreq as u64 {
         pth.write::<u64>(resp + id * 16, 0);
     }
-    // Adaptation region, allocated last so the fixed-pool layout (and
-    // every address above) is untouched when adaptation is off.
-    let adapt_active = params.adapt.map(|ad| {
-        let base = pth.malloc(params.shards as u64 * 8);
-        let init = params
-            .workers_per_shard
-            .clamp(ad.min_workers, ad.max_workers) as u64;
-        for sh in 0..params.shards as u64 {
-            pth.write::<u64>(base + sh * 8, init);
-        }
-        base
-    });
 
     let (clients, think_ns) = match cfg.driver {
         Driver::ClosedLoop { clients, think_ns } => (clients, think_ns),
@@ -492,20 +381,16 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
         requests: Arc::new(sched.requests.clone()),
         client_m: (0..clients).map(|_| pth.rt().mutex_new()).collect(),
         client_c: (0..clients).map(|_| pth.rt().cond_new()).collect(),
-        adapt_active,
         base_ns: AtomicU64::new(0),
     });
 
     // ---- Worker pools (per shard) ----
-    // With adaptation the pool is sized max_workers; ranks at or above
-    // the shard's active target park inside dequeue.
-    let pool_size = params.adapt.map_or(params.workers_per_shard, |ad| ad.max_workers);
-    let total_workers = params.shards * pool_size;
+    let total_workers = params.shards * params.workers_per_shard;
     let ready = pth.rt().barrier_new();
     let open_loop = matches!(cfg.driver, Driver::OpenLoop);
     let mut workers = Vec::with_capacity(total_workers as usize);
     for sh in 0..params.shards {
-        for w in 0..pool_size {
+        for w in 0..params.workers_per_shard {
             let plan = Arc::clone(&plan);
             workers.push(pth.create(move |p| {
                 let s = &plan.shards[sh as usize];
@@ -518,9 +403,8 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                 }
                 p.barrier(ready, total_workers as usize + 1);
                 let mut served = 0u64;
-                let active = plan.adapt_active.map(|b| b + sh as u64 * 8);
                 loop {
-                    let item = dequeue(p, s, w, active);
+                    let item = dequeue(p, s);
                     if item == POISON {
                         break;
                     }
@@ -564,25 +448,11 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
             // pools are up, attach paid. Workers read the base only for
             // requests they dequeued, i.e. after it was published.
             plan.base_ns.store(serve_t0.as_nanos(), Ordering::SeqCst);
-            let mut last_window_end = 0u64;
             for r in plan.requests.iter() {
                 let now = pth.sim.now().as_nanos();
                 let due = plan.arrival_at(r);
                 if due > now {
                     pth.compute(due - now);
-                }
-                if let Some(ad) = params.adapt.as_ref() {
-                    // One adjustment per cut series window: the sensor
-                    // only reads already-cut state, so polling it every
-                    // request never perturbs the series.
-                    if let Some((end_ns, stall)) =
-                        pth.rt().svm().obs().series_last_window()
-                    {
-                        if end_ns > last_window_end {
-                            last_window_end = end_ns;
-                            adapt_adjust(pth, &plan, ad, &stall);
-                        }
-                    }
                 }
                 let s = &plan.shards[plan.shard_of(r.key) as usize];
                 if !enqueue(pth, s, r.id as u64, params.timeout_ns, 4) {
@@ -709,17 +579,8 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
     let serve_ns = pth.sim.now().saturating_since(serve_t0);
 
     // ---- Shutdown: poison every pool, join every worker ----
-    if let Some(base) = plan.adapt_active {
-        // Unpark everyone first: each worker must consume one poison.
-        for (sh, s) in plan.shards.iter().enumerate() {
-            pth.mutex_lock(s.q_m);
-            pth.write::<u64>(base + sh as u64 * 8, u64::from(pool_size));
-            pth.cond_broadcast(s.park.expect("park cond with adaptation"));
-            pth.mutex_unlock(s.q_m);
-        }
-    }
     for s in plan.shards.iter() {
-        for _ in 0..pool_size {
+        for _ in 0..params.workers_per_shard {
             // Best-effort: a dead shard's full queue times out and the
             // poison is dropped (its workers are dead too).
             let _ = enqueue(pth, s, POISON, params.timeout_ns, 2);
@@ -808,47 +669,6 @@ mod tests {
         let (_, o) = run(4, &sched, ServiceParams::test());
         assert_eq!(o.served, 100);
         assert_eq!(o.retries, 0);
-    }
-
-    #[test]
-    fn adaptive_pool_preserves_digest() {
-        // Fixed pools vs adaptation under a live series: the response
-        // digest and served count must match exactly — adaptation only
-        // moves when requests are served.
-        let sched = schedule(&TrafficConfig::zipfian(7, 150, 128, 1_500_000));
-        let (_, fixed) = run(4, &sched, ServiceParams::test());
-
-        let run_adaptive = |lock_stall_pct: u32| {
-            let cluster = Cluster::build(ClusterConfig::small(4, 2));
-            let rt = CablesRt::new(cluster, CablesConfig::paper());
-            rt.svm().obs().set_enabled(true);
-            let ring = rt.svm().obs().series_start(100_000);
-            let out = StdArc::new(StdMutex::new(None));
-            let o2 = StdArc::clone(&out);
-            let s = sched.clone();
-            let mut params = ServiceParams::test().with_adapt();
-            params.adapt = params.adapt.map(|mut a| {
-                a.lock_stall_pct = lock_stall_pct;
-                a
-            });
-            rt.run(move |pth| {
-                *o2.lock().unwrap() = Some(run_service(pth, &s, params));
-                0
-            })
-            .expect("adaptive run");
-            drop(ring);
-            let o = out.lock().unwrap().take().expect("outcome");
-            o
-        };
-        // lock_stall_pct = 0: every window shrinks toward min (parks
-        // workers); 100: shrink requires pure lock stall, so backlogged
-        // shards grow instead. Both must preserve visible behavior.
-        for pct in [0, 100] {
-            let o = run_adaptive(pct);
-            assert_eq!(o.digest, fixed.digest, "pct={pct}");
-            assert_eq!(o.served, fixed.served, "pct={pct}");
-            assert_eq!(o.direct_served, 0, "pct={pct}");
-        }
     }
 
     #[test]

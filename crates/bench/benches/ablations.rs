@@ -260,14 +260,18 @@ fn main() {
     // --- 5. Home migration policy (extension; paper §2.1.3 ships the
     //        mechanisms, no policy). A worker on node 1 repeatedly
     //        updates a segment first-touched by the master. ---
-    println!("5) home-migration policy (extension; sole-remote-differ streaks):");
+    println!("5) home-migration policy (extension; counter-driven placement policy):");
     aj.push_str("\n  \"migration\": [");
-    for (mi, (label, threshold)) in
-        [("off (paper)", None), ("migrate after 3", Some(3u32))].into_iter().enumerate()
+    for (mi, (label, mode, policy)) in [
+        ("off (paper)", "off", None),
+        ("placement policy", "policy", Some(svm::PlacementPolicy::default())),
+    ]
+    .into_iter()
+    .enumerate()
     {
         let cluster = Cluster::build(svm::ClusterConfig::small(2, 1));
         let mut scfg = svm::SvmConfig::cables();
-        scfg.migration_threshold = threshold;
+        scfg.placement_policy = policy;
         let sys = svm::SvmSystem::new(Arc::clone(&cluster), scfg);
         let s2 = Arc::clone(&sys);
         let end = cluster
@@ -303,7 +307,7 @@ fn main() {
             "{}\n    {{\"mode\": \"{}\", \"total_ns\": {}, \"diffs_sent\": {}, \
              \"diff_bytes\": {}, \"migrations\": {}}}",
             if mi > 0 { "," } else { "" },
-            if threshold.is_some() { "migrate_after_3" } else { "off" },
+            mode,
             end.as_nanos(),
             st.diffs_sent,
             st.diff_bytes,

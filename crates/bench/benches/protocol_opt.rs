@@ -1,9 +1,8 @@
-//! Protocol-traffic ablation: batched diffs × stride prefetch ×
-//! lock-data forwarding.
+//! Protocol-traffic ablation: batched diffs × stride prefetch.
 //!
 //! Runs FFT and RADIX (32 processors → 16 nodes at full size; 16
-//! processors → 8 nodes in smoke mode) over the full 2×2×2 on/off grid
-//! of the three protocol optimizations and produces
+//! processors → 8 nodes in smoke mode) over the full 2×2 on/off grid
+//! of the two protocol optimizations and produces
 //! `BENCH_protocol.json` with per-point message counts and simulated
 //! times, plus a critical-path blame comparison of the all-off and
 //! all-on corners. The grid runs on the green-thread parallel engine
@@ -20,6 +19,9 @@
 //! - all-on vs all-off: fewer `remote_fetches` messages, fewer
 //!   `diffs_sent` messages, and (at full sizes) a shorter simulated
 //!   end-to-end time;
+//! - in smoke mode, the all-on corner stays under hard message-count
+//!   ceilings (`Workload::smoke_ceilings`): a protocol change that
+//!   re-inflates traffic fails here;
 //! - observability stays inert on both corners (same SimTime on vs off).
 //!
 //! Run with `--test` for the CI smoke mode: tiny sizes, same artifact,
@@ -41,6 +43,10 @@ struct Workload {
     name: &'static str,
     procs: usize,
     body: fn(&M4Ctx, bool) -> u64,
+    /// All-on `(remote_fetches, diffs_sent)` ceilings at smoke sizes,
+    /// snapshotted when the optimizations landed. The simulator is
+    /// deterministic, so the ceilings are tight.
+    smoke_ceilings: (u64, u64),
 }
 
 fn fft_body(ctx: &M4Ctx, smoke: bool) -> u64 {
@@ -75,14 +81,14 @@ struct GridRun {
     dropped: u64,
 }
 
-fn run_point(w: &Workload, toggles: (bool, bool, bool), observe: bool, smoke: bool) -> GridRun {
+fn run_point(w: &Workload, toggles: (bool, bool), observe: bool, smoke: bool) -> GridRun {
     // The 16-node grid runs on the green-thread backend; determinism
     // means the artifact is identical to a sequential-oracle run.
     let mut cluster_cfg = cluster_for(w.procs);
     cluster_cfg.engine = EngineMode::Parallel;
     let cluster = Cluster::build(cluster_cfg);
     let cfg = CablesConfig {
-        svm: SvmConfig::cables().with_protocol_opts(toggles.0, toggles.1, toggles.2),
+        svm: SvmConfig::cables().with_protocol_opts(toggles.0, toggles.1),
         ..CablesConfig::paper()
     };
     let sys = M4System::cables_with(Arc::clone(&cluster), cfg);
@@ -128,7 +134,7 @@ fn repo_root_path(name: &str) -> String {
 fn main() {
     let smoke = smoke_mode();
     header(
-        "protocol_opt: batched diffs x stride prefetch x lock forwarding",
+        "protocol_opt: batched diffs x stride prefetch",
         "no paper table; the GCS-style traffic reductions of §2.2, ablated",
     );
     // Full size runs the promoted 16-node grid (32 processors); smoke
@@ -139,24 +145,19 @@ fn main() {
             name: "FFT",
             procs,
             body: fft_body,
+            // Measured 124/74 (m=10, 16 procs on 8 nodes).
+            smoke_ceilings: (130, 78),
         },
         Workload {
             name: "RADIX",
             procs,
             body: radix_body,
+            // Measured 553/61 (16K keys, 16 procs on 8 nodes).
+            smoke_ceilings: (560, 70),
         },
     ];
-    // Grid order: (batch_diffs, prefetch, lock_forwarding).
-    let grid = [
-        (false, false, false),
-        (true, false, false),
-        (false, true, false),
-        (false, false, true),
-        (true, true, false),
-        (true, false, true),
-        (false, true, true),
-        (true, true, true),
-    ];
+    // Grid order: (batch_diffs, prefetch).
+    let grid = [(false, false), (true, false), (false, true), (true, true)];
 
     let mut artifact = String::from("{\n  \"bench\": \"protocol_opt\",\n");
     let _ = write!(artifact, "  \"smoke\": {smoke},\n  \"kernels\": [");
@@ -164,46 +165,41 @@ fn main() {
     for (wi, w) in workloads.iter().enumerate() {
         println!("--- {} ({} procs, {} nodes) ---", w.name, w.procs, w.procs / 2);
         println!(
-            "{:<22} {:>12} {:>14} {:>11} {:>10} {:>9} {:>9}",
-            "point", "sim time", "remote_fetches", "diffs_sent", "prefetch", "pf hits", "lock fwd"
+            "{:<22} {:>12} {:>14} {:>11} {:>10} {:>9}",
+            "point", "sim time", "remote_fetches", "diffs_sent", "prefetch", "pf hits"
         );
 
         let mut points = Vec::new();
-        for &(b, p, f) in &grid {
-            let r = run_point(w, (b, p, f), false, smoke);
-            let label = format!(
-                "batch={} prefetch={} fwd={}",
-                b as u8, p as u8, f as u8
-            );
+        for &(b, p) in &grid {
+            let r = run_point(w, (b, p), false, smoke);
+            let label = format!("batch={} prefetch={}", b as u8, p as u8);
             println!(
-                "{:<22} {:>15} {:>14} {:>11} {:>10} {:>9} {:>9}",
+                "{:<22} {:>15} {:>14} {:>11} {:>10} {:>9}",
                 label,
                 r.total_ns,
                 r.stats.remote_fetches,
                 r.stats.diffs_sent,
                 r.stats.prefetch_issued,
-                r.stats.prefetch_hits,
-                r.stats.lock_forwards
+                r.stats.prefetch_hits
             );
-            points.push(((b, p, f), r));
+            points.push(((b, p), r));
         }
 
         // Value preservation: every grid point computes the same bits.
         let baseline_sum = points[0].1.checksum;
-        for ((b, p, f), r) in &points {
+        for ((b, p), r) in &points {
             assert_eq!(
                 r.checksum, baseline_sum,
-                "{}: result differs at batch={b} prefetch={p} fwd={f}",
+                "{}: result differs at batch={b} prefetch={p}",
                 w.name
             );
         }
 
         let off = &points[0].1;
-        let on = &points[7].1;
+        let on = &points[3].1;
         // The baseline protocol is untouched: no new counter moves.
         assert_eq!(off.stats.diff_batches, 0, "{}: all-off batched a diff", w.name);
         assert_eq!(off.stats.prefetch_issued, 0, "{}: all-off prefetched", w.name);
-        assert_eq!(off.stats.lock_forwards, 0, "{}: all-off forwarded", w.name);
         // The headline traffic reductions.
         assert!(
             on.stats.remote_fetches < off.stats.remote_fetches,
@@ -219,6 +215,21 @@ fn main() {
             off.stats.diffs_sent,
             on.stats.diffs_sent
         );
+        // Protocol-traffic regression guard: the all-on corner must stay
+        // under the ceilings its smoke-size counts were snapshotted at.
+        if smoke {
+            let (fetch_cap, diff_cap) = w.smoke_ceilings;
+            for (name, o0, o1, cap) in [
+                ("remote_fetches", off.stats.remote_fetches, on.stats.remote_fetches, fetch_cap),
+                ("diffs_sent", off.stats.diffs_sent, on.stats.diffs_sent, diff_cap),
+            ] {
+                println!(
+                    "    {:<6} {name:<15} off={o0:>5} on={o1:>5} ceiling={cap:>5}",
+                    w.name
+                );
+                assert!(o1 <= cap, "{}: all-on {name} {o1} over ceiling {cap}", w.name);
+            }
+        }
         // The end-to-end timing claim only holds at representative sizes:
         // at smoke sizes each processor chunk is under a page, prefetch
         // mostly wastes its fetches, and the µs-scale deltas are barrier
@@ -249,8 +260,8 @@ fn main() {
 
         // Critical-path blame, all-off vs all-on corners, with the
         // obs-inertness double-run both times.
-        let off_obs = run_point(w, (false, false, false), true, smoke);
-        let on_obs = run_point(w, (true, true, true), true, smoke);
+        let off_obs = run_point(w, (false, false), true, smoke);
+        let on_obs = run_point(w, (true, true), true, smoke);
         assert_eq!(
             off_obs.total_ns, off.total_ns,
             "{}: observability changed the all-off run",
@@ -285,18 +296,17 @@ fn main() {
             "\n    {{\n      \"kernel\": \"{}\",\n      \"procs\": {},\n      \"grid\": [",
             w.name, w.procs
         );
-        for (pi, ((b, p, f), r)) in points.iter().enumerate() {
+        for (pi, ((b, p), r)) in points.iter().enumerate() {
             if pi > 0 {
                 artifact.push(',');
             }
             let _ = write!(
                 artifact,
-                "\n        {{\"batch_diffs\": {b}, \"prefetch\": {p}, \"lock_forwarding\": {f}, \
+                "\n        {{\"batch_diffs\": {b}, \"prefetch\": {p}, \
                  \"sim_time_ns\": {}, \"remote_fetches\": {}, \"fetch_bytes\": {}, \
                  \"diffs_sent\": {}, \"diff_bytes\": {}, \"diff_batches\": {}, \
                  \"batched_diff_bytes\": {}, \"prefetch_issued\": {}, \"prefetch_hits\": {}, \
-                 \"prefetch_wasted\": {}, \"lock_forwards\": {}, \"lock_forward_bytes\": {}, \
-                 \"checksum\": {}}}",
+                 \"prefetch_wasted\": {}, \"checksum\": {}}}",
                 r.total_ns,
                 r.stats.remote_fetches,
                 r.stats.fetch_bytes,
@@ -307,8 +317,6 @@ fn main() {
                 r.stats.prefetch_issued,
                 r.stats.prefetch_hits,
                 r.stats.prefetch_wasted,
-                r.stats.lock_forwards,
-                r.stats.lock_forward_bytes,
                 r.checksum
             );
         }
@@ -324,7 +332,7 @@ fn main() {
     let path = repo_root_path("BENCH_protocol.json");
     std::fs::write(&path, &artifact).expect("write BENCH_protocol.json");
     println!("ablation grid written to BENCH_protocol.json");
-    println!("determinism: all 8 grid points produced bit-identical application");
+    println!("determinism: all 4 grid points produced bit-identical application");
     println!("results per kernel, and the all-on corner beat all-off on remote");
     if smoke {
         println!("fetch messages and diff messages (time asserted at full sizes).");

@@ -6,8 +6,7 @@
 //! histogram and throughput from the serving window, then stresses the
 //! deployment with a chaos node crash under live traffic (recovery
 //! visible in the windowed percentile series streamed to
-//! `stream_service.ndjson`) and a lock-data-forwarding ablation.
-//! Produces `BENCH_service.json`.
+//! `stream_service.ndjson`). Produces `BENCH_service.json`.
 //!
 //! Asserted invariants:
 //!
@@ -17,9 +16,7 @@
 //! - replaying a cell from the same `TrafficConfig` is bit-identical
 //!   (same digest, same simulated times, same percentiles);
 //! - the crash cell answers every request, detaches the dead node, and
-//!   the windowed series shows completions resuming after the crash;
-//! - lock-data forwarding fires (`lock_forwards > 0`) when enabled and
-//!   stays exactly zero when disabled, with identical response digests.
+//!   the windowed series shows completions resuming after the crash.
 //!
 //! Run with `--test` for the CI smoke mode (fewer requests, same
 //! assertions, same artifact).
@@ -34,23 +31,11 @@ use chaos::{ChaosEngine, FaultPlan};
 use obs::series;
 use obs::stream::parse_stream;
 use obs::Layer;
-use svm::{Cluster, SvmConfig};
+use svm::Cluster;
 use traffic::{schedule, Schedule, TrafficConfig};
 
 /// The node sacrificed by the crash cell (never 0: the master survives).
 const CRASH_NODE: u32 = 2;
-
-fn params() -> ServiceParams {
-    ServiceParams {
-        shards: 4,
-        workers_per_shard: 2,
-        locks_per_shard: 8,
-        queue_cap: 64,
-        proc_ns: 500,
-        timeout_ns: 2_000_000,
-        adapt: None,
-    }
-}
 
 struct CellOut {
     sim_ns: u64,
@@ -59,7 +44,6 @@ struct CellOut {
     p: [u64; 3],
     /// Request spans recorded (must equal the request count fault-free).
     svc_count: u64,
-    lock_forwards: u64,
     nodes_detached: u64,
     crashes: u64,
     windows: Vec<series::WindowRow>,
@@ -88,7 +72,7 @@ fn run_cell(
     let out = Arc::new(StdMutex::new(None));
     let o2 = Arc::clone(&out);
     let s = sched.clone();
-    let p = params();
+    let p = ServiceParams::test();
     let end = rt
         .run(move |pth| {
             *o2.lock().unwrap() = Some(run_service(pth, &s, p));
@@ -115,7 +99,6 @@ fn run_cell(
         outcome,
         p: [h.percentile(50.0), h.percentile(95.0), h.percentile(99.0)],
         svc_count: h.count(),
-        lock_forwards: svm.total_stats().lock_forwards,
         nodes_detached: rt.stats().nodes_detached,
         crashes: if has_chaos {
             cluster.chaos().expect("chaos attached").stats().crashes
@@ -322,7 +305,7 @@ fn main() {
          \"requests\": {}, \"served\": {}, \"direct_served\": {}, \"retries\": {}, \
          \"nodes_detached\": {}, \"post_crash_window_completions\": {post}, \
          \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
-         \"stream\": \"target/artifacts/stream_service.ndjson\"}},\n",
+         \"stream\": \"target/artifacts/stream_service.ndjson\"}}\n",
         chaos_sched.requests.len(),
         c.outcome.served,
         c.outcome.direct_served,
@@ -331,52 +314,6 @@ fn main() {
         c.p[0],
         c.p[1],
         c.p[2],
-    );
-
-    // ---- Ablation: lock-data forwarding off vs on ----
-    // The zipfian pattern hammers a few hot buckets: their store pages
-    // are exactly the frequently-demand-fetched pages forwarding targets.
-    let zsched = &patterns[2].1;
-    let cfg_off = CablesConfig {
-        svm: SvmConfig::cables().with_protocol_opts(false, false, false),
-        ..CablesConfig::paper()
-    };
-    let cfg_on = CablesConfig {
-        svm: SvmConfig::cables().with_protocol_opts(false, false, true),
-        ..CablesConfig::paper()
-    };
-    let off = run_cell(zsched, 8, cfg_off, None, None);
-    let on = run_cell(zsched, 8, cfg_on, None, None);
-    assert_eq!(
-        off.lock_forwards, 0,
-        "forwarding-off cell must not forward"
-    );
-    assert!(
-        on.lock_forwards > 0,
-        "forwarding-on cell never forwarded a page under the hot-bucket workload"
-    );
-    assert_eq!(
-        off.outcome.digest, on.outcome.digest,
-        "lock forwarding changed the service's responses"
-    );
-    println!(
-        "\nablation (zipfian, 4 nodes): lock_forwards off={} on={}; \
-         p95 off={} on={} (digests identical)",
-        off.lock_forwards,
-        on.lock_forwards,
-        fmt_ns(off.p[1]),
-        fmt_ns(on.p[1]),
-    );
-    let _ = write!(
-        artifact,
-        "  \"ablation\": {{\"pattern\": \"zipfian\", \"nodes\": 4, \
-         \"off\": {{\"lock_forwards\": 0, \"sim_time_ns\": {}, \"p95_ns\": {}}}, \
-         \"on\": {{\"lock_forwards\": {}, \"sim_time_ns\": {}, \"p95_ns\": {}}}}}\n",
-        off.sim_ns,
-        off.p[1],
-        on.lock_forwards,
-        on.sim_ns,
-        on.p[1],
     );
 
     artifact.push_str("}\n");

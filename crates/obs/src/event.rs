@@ -321,14 +321,6 @@ pub enum Event {
         /// Home node served the batch.
         home: u32,
     },
-    /// Lock-data forwarding: hot pages refreshed from home on the lock
-    /// grant instead of invalidated.
-    LockForward {
-        /// Pages refreshed.
-        pages: u64,
-        /// Payload bytes forwarded.
-        bytes: u64,
-    },
     /// A fault satisfied by an already-prefetched copy: no remote fetch,
     /// only the tail of the streaming install (if any) plus protection
     /// work. Emitted as a span nested inside the enclosing
@@ -597,7 +589,6 @@ impl Event {
             Event::Migrate { .. } => "proto.migrate",
             Event::DiffBatch { .. } => "proto.diff_batch",
             Event::Prefetch { .. } => "proto.prefetch",
-            Event::LockForward { .. } => "proto.lock_forward",
             Event::PrefetchMasked { .. } => "proto.prefetch_masked",
             Event::SanSend { .. } => "san.send",
             Event::SanFetch { .. } => "san.fetch",
@@ -682,9 +673,6 @@ impl Event {
             }
             Event::Prefetch { page, pages, home } => {
                 let _ = write!(out, "\"page\":{page},\"pages\":{pages},\"home\":{home}");
-            }
-            Event::LockForward { pages, bytes } => {
-                let _ = write!(out, "\"pages\":{pages},\"bytes\":{bytes}");
             }
             Event::SanSend { to, bytes } | Event::SanFetch { to, bytes } => {
                 let _ = write!(out, "\"to\":{to},\"bytes\":{bytes}");

@@ -379,17 +379,6 @@ impl ObsSink {
         self.series_roll_locked(&mut g, now.as_nanos());
     }
 
-    /// End and stall mix (in [`stall::Bucket::ALL`] order) of the most
-    /// recently *cut* non-empty window of the running series, or `None`
-    /// when no series is running or no window has been cut yet. This is
-    /// the feedback sensor adaptive policies (e.g. the KV service's
-    /// per-shard concurrency controller) poll at window boundaries: it
-    /// reads only already-cut state, so polling it never perturbs the
-    /// series or the recorded metrics.
-    pub fn series_last_window(&self) -> Option<(u64, [u64; stall::BUCKETS])> {
-        self.inner.lock().series.as_ref()?.last_cut
-    }
-
     /// Flushes the final partial window and stops the series, returning
     /// its accounting (or `None` if no series was running). The exporter
     /// drains the ring, appends [`SeriesSummary::leftover`] if present,

@@ -361,9 +361,6 @@ pub(crate) struct SeriesState {
     prev: MetricsSnapshot,
     window_stall: [u64; BUCKETS],
     carry: Option<DeltaFrame>,
-    /// End and stall mix of the most recent *cut* (non-empty) window —
-    /// the live sensor behind [`crate::ObsSink::series_last_window`].
-    pub(crate) last_cut: Option<(u64, [u64; BUCKETS])>,
     ring: Arc<FrameRing>,
 }
 
@@ -390,7 +387,6 @@ impl SeriesState {
             prev: empty_snapshot(),
             window_stall: [0; BUCKETS],
             carry: None,
-            last_cut: None,
             ring,
         }
     }
@@ -440,7 +436,6 @@ impl SeriesState {
                 frame = merge_frames(carry, &frame);
                 frame.seq = self.seq;
             }
-            self.last_cut = Some((frame.end_ns, frame.stall_ns));
             match self.ring.push(frame) {
                 Ok(()) => {
                     self.seq += 1;

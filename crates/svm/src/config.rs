@@ -70,12 +70,12 @@ impl Default for SvmCosts {
 }
 
 /// Counter-driven home-migration policy (the sharing-aware placement
-/// extension). Where [`SvmConfig::migration_threshold`] keys on raw
-/// sole-remote-differ streaks, this policy keys on per-chunk sharing
-/// counters the protocol maintains incrementally — sharer sets, remote
-/// fetch+diff traffic per node, ping-pong handoffs — the same taxonomy
-/// `obs::sharing` ranks pages by, but kept in the protocol directory so
-/// decisions never depend on whether observability is enabled.
+/// extension; the paper ships only the migration mechanism, §2.1.3). It
+/// keys on per-chunk sharing counters the protocol maintains
+/// incrementally — sharer sets, remote fetch+diff traffic per node,
+/// ping-pong handoffs — the same taxonomy `obs::sharing` ranks pages by,
+/// but kept in the protocol directory so decisions never depend on
+/// whether observability is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementPolicy {
     /// Minimum remote fetch+diff messages a chunk must have generated
@@ -112,16 +112,10 @@ pub struct SvmConfig {
     /// Enable the base system's single-writer write-through optimization
     /// (paper §3.4, responsible for the OCEAN gap).
     pub write_through_single_writer: bool,
-    /// Home-migration policy (an extension: the paper provides the
-    /// mechanisms but no policy, §2.1.3). `Some(k)` migrates a placement
-    /// chunk to a node after `k` consecutive releases in which that node
-    /// was its only remote writer; `None` reproduces the paper.
-    pub migration_threshold: Option<u32>,
-    /// Counter-driven migration policy (CableS mode, like
-    /// `migration_threshold`). When set it *replaces* the streak policy:
-    /// chunks migrate to the node dominating their remote fetch+diff
-    /// traffic, with a traffic floor and post-migration cooldown. `None`
-    /// (with `migration_threshold: None`) reproduces the paper.
+    /// Home-migration policy (CableS mode; an extension: the paper
+    /// provides the mechanisms but no policy, §2.1.3). Chunks migrate to
+    /// the node dominating their remote fetch+diff traffic, with a traffic
+    /// floor and post-migration cooldown. `None` reproduces the paper.
     pub placement_policy: Option<PlacementPolicy>,
     /// Release-time diff batching: ship all diffs bound for the same home
     /// as one multi-segment VMMC write (one message header and one fence
@@ -141,17 +135,6 @@ pub struct SvmConfig {
     /// Consecutive same-stride faults required before the detector trusts
     /// the run and starts prefetching. Ignored when `prefetch_degree == 0`.
     pub prefetch_confirm: u32,
-    /// Lock-data forwarding (GCS-style): at lock acquisition, pages made
-    /// stale by pending write notices whose demand-fetch count reached
-    /// `lock_forward_hot` are *refreshed* from home in one batched fetch
-    /// piggybacked on the grant, instead of invalidated and re-fetched on
-    /// the first post-acquire fault. Off reproduces invalidate-only
-    /// acquires exactly.
-    pub lock_forwarding: bool,
-    /// Demand-fetch count a page must reach before lock forwarding ships
-    /// its contents (cold pages are still invalidated — forwarding them
-    /// would waste grant-message bytes).
-    pub lock_forward_hot: u32,
     /// Cost constants.
     pub costs: SvmCosts,
 }
@@ -163,13 +146,10 @@ impl SvmConfig {
             mode: ProtoMode::Base,
             home_granularity_pages: 1,
             write_through_single_writer: true,
-            migration_threshold: None,
             placement_policy: None,
             batch_diffs: false,
             prefetch_degree: 0,
             prefetch_confirm: 2,
-            lock_forwarding: false,
-            lock_forward_hot: 4,
             costs: SvmCosts::default(),
         }
     }
@@ -180,24 +160,20 @@ impl SvmConfig {
             mode: ProtoMode::Cables,
             home_granularity_pages: 16,
             write_through_single_writer: false,
-            migration_threshold: None,
             placement_policy: None,
             batch_diffs: false,
             prefetch_degree: 0,
             prefetch_confirm: 2,
-            lock_forwarding: false,
-            lock_forward_hot: 4,
             costs: SvmCosts::default(),
         }
     }
 
-    /// Applies the three protocol-traffic optimizations as a 3-bit grid
+    /// Applies the two protocol-traffic optimizations as a 2-bit grid
     /// point (used by the ablation bench and tests). `prefetch` enables a
     /// degree-4 prefetcher with the default confirmation threshold.
-    pub fn with_protocol_opts(mut self, batch: bool, prefetch: bool, forward: bool) -> Self {
+    pub fn with_protocol_opts(mut self, batch: bool, prefetch: bool) -> Self {
         self.batch_diffs = batch;
         self.prefetch_degree = if prefetch { 4 } else { 0 };
-        self.lock_forwarding = forward;
         self
     }
 
@@ -228,14 +204,13 @@ mod tests {
         for cfg in [SvmConfig::base(), SvmConfig::cables()] {
             assert!(!cfg.batch_diffs);
             assert_eq!(cfg.prefetch_degree, 0);
-            assert!(!cfg.lock_forwarding);
             assert!(cfg.placement_policy.is_none());
         }
         let pol = SvmConfig::cables().with_placement_policy();
         let p = pol.placement_policy.expect("policy set");
         assert!(p.min_traffic > 0 && p.dominance_pct > 50);
-        let on = SvmConfig::cables().with_protocol_opts(true, true, true);
-        assert!(on.batch_diffs && on.lock_forwarding);
+        let on = SvmConfig::cables().with_protocol_opts(true, true);
+        assert!(on.batch_diffs);
         assert_eq!(on.prefetch_degree, 4);
     }
 

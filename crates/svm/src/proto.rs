@@ -52,10 +52,6 @@ pub(crate) struct PageDir {
     pub region_off: u64,
     pub first_writer: Option<NodeId>,
     pub multi_writer: bool,
-    /// Demand fetches served for this page; the lock-forwarding hotness
-    /// signal (kept in the protocol directory, not the obs sharing table,
-    /// so behaviour never depends on whether observability is enabled).
-    pub hot: u32,
 }
 
 #[derive(Debug)]
@@ -102,11 +98,9 @@ pub struct NodeStats {
     pub prefetch_hits: u64,
     /// Prefetched pages invalidated by acquire-time notices before use.
     pub prefetch_wasted: u64,
-    /// Lock grants that carried forwarded page contents (one per home per
-    /// grant).
+    /// Always 0: lock grants no longer carry page contents. Kept only
+    /// because the repository benchmark reads it.
     pub lock_forwards: u64,
-    /// Page-content bytes refreshed by lock-data forwarding.
-    pub lock_forward_bytes: u64,
     /// Ping-pong handoffs this node completed: remote fetch/diff messages
     /// on a chunk whose previous remote toucher was a different node (the
     /// false-sharing smell, charged to the node whose touch completed the
@@ -115,8 +109,8 @@ pub struct NodeStats {
     /// Release-time migration decisions the counter policy evaluated for
     /// chunks homed remotely from this node.
     pub policy_considered: u64,
-    /// Migrations the counter policy triggered to this node (a subset of
-    /// `migrations`, which also counts streak-policy moves).
+    /// Migrations the placement policy triggered to this node (equal to
+    /// `migrations`: the policy is the only thing that migrates homes).
     pub policy_migrations: u64,
 }
 
@@ -204,8 +198,6 @@ pub(crate) struct ProtoState {
     /// current length in bytes.
     pub home_region: Vec<Option<(RegionId, u64)>>,
     pub first_toucher: HashMap<u64, NodeId>,
-    /// Migration policy state: chunk -> (last sole remote differ, streak).
-    pub diff_streaks: HashMap<u64, (NodeId, u32)>,
     /// Counter-policy state: chunk -> incremental sharing counters.
     pub chunk_sharing: HashMap<u64, ChunkSharing>,
     /// Demand fetches each node has served as home — the thread-affinity
@@ -228,7 +220,6 @@ impl ProtoState {
             log: Vec::new(),
             home_region: vec![None; nodes],
             first_toucher: HashMap::new(),
-            diff_streaks: HashMap::new(),
             chunk_sharing: HashMap::new(),
             home_pull: vec![0; nodes],
             alloc_next: HEAP_BASE.raw(),
@@ -905,7 +896,6 @@ impl SvmSystem {
                         region_off: base_off + i * PAGE_SIZE,
                         first_writer: None,
                         multi_writer: false,
-                        hot: 0,
                     },
                 );
                 st.nodes[node.0 as usize]
@@ -1282,11 +1272,6 @@ impl SvmSystem {
         {
             let mut st = self.state.lock();
             let home = st.dir[&page.index()].home;
-            if let Some(d) = st.dir.get_mut(&page.index()) {
-                // Hotness for lock-data forwarding: pages that keep being
-                // demand-fetched are worth shipping with lock grants.
-                d.hot = d.hot.saturating_add(1);
-            }
             {
                 let np = &mut st.nodes[node.0 as usize];
                 np.stats.remote_fetches += 1;
@@ -1485,11 +1470,10 @@ impl SvmSystem {
         // rest of the loop exactly as the unbatched per-run sends do.
         let mut batches: BTreeMap<(u32, u64), (Vec<(u64, Vec<u8>)>, u64, SimTime)> =
             BTreeMap::new();
-        if self.cfg.migration_threshold.is_some() || self.cfg.placement_policy.is_some() {
+        if let Some(policy) = self.cfg.placement_policy {
             // Migration policy (extension): one decision per dirty chunk
-            // per release — the streak policy bumps its sole-remote-differ
-            // streak, the counter policy weighs the chunk's accumulated
-            // sharing counters.
+            // per release, weighing the chunk's accumulated sharing
+            // counters.
             let gran = self.cfg.home_granularity_pages;
             let mut chunks: Vec<u64> = dirty_pages
                 .iter()
@@ -1498,7 +1482,7 @@ impl SvmSystem {
             chunks.sort_unstable();
             chunks.dedup();
             for chunk in chunks {
-                self.consider_migration(sim, PageNum::new(chunk));
+                self.consider_migration(sim, PageNum::new(chunk), policy);
             }
         }
         for page_idx in dirty_pages {
@@ -1817,200 +1801,6 @@ impl SvmSystem {
         }
     }
 
-    /// Acquire executed on a lock grant. With lock-data forwarding on,
-    /// pending write notices for *hot* pages (frequently demand-fetched)
-    /// are resolved by refreshing the page contents from home in one
-    /// batched fetch piggybacked on the grant — the acquirer keeps a
-    /// current readable copy and skips the first post-acquire fault
-    /// round trip. Cold pages are invalidated as usual. With forwarding
-    /// off this is exactly [`SvmSystem::acquire`].
-    pub(crate) fn acquire_on_lock(&self, sim: &Sim) {
-        if !self.cfg.lock_forwarding {
-            self.acquire(sim);
-            return;
-        }
-        let node = sim.node();
-        let t0 = sim.now();
-        let hot_min = self.cfg.lock_forward_hot;
-        let mut invalidate = Vec::new();
-        let mut flush_first = Vec::new();
-        // Hot stale pages grouped per (home, region): (page, region_off,
-        // version to install).
-        let mut forward: BTreeMap<(u32, u64), Vec<(u64, u64, u64)>> = BTreeMap::new();
-        let applied;
-        {
-            let mut st = self.state.lock();
-            let cursor = st.nodes[node.0 as usize].log_cursor;
-            let end = st.log.len();
-            applied = end - cursor;
-            // Latest pending notice per stale page (the log may carry
-            // several intervals for the same page).
-            let mut stale: BTreeMap<u64, u64> = BTreeMap::new();
-            for i in cursor..end {
-                let (page_idx, version) = st.log[i];
-                if st.dir[&page_idx].home == node {
-                    continue;
-                }
-                if let Some(copy) = st.nodes[node.0 as usize].copies.get(&page_idx) {
-                    if copy.version < version {
-                        if copy.dirty.is_none() {
-                            let e = stale.entry(page_idx).or_insert(version);
-                            if version > *e {
-                                *e = version;
-                            }
-                        } else {
-                            // Concurrently written locally: flush the
-                            // dirty words home, then invalidate (see
-                            // `acquire`). Never forwarded — the grant
-                            // cannot carry a page we still owe a diff.
-                            flush_first.push(page_idx);
-                        }
-                    }
-                }
-            }
-            for (page_idx, version) in stale {
-                let d = &st.dir[&page_idx];
-                if d.hot >= hot_min {
-                    forward.entry((d.home.0, d.region.0)).or_default().push((
-                        page_idx,
-                        d.region_off,
-                        d.version.max(version),
-                    ));
-                } else {
-                    invalidate.push(page_idx);
-                }
-            }
-            flush_first.sort_unstable();
-            flush_first.dedup();
-            st.nodes[node.0 as usize].log_cursor = end;
-            let fwd: u64 = forward.values().map(|v| v.len() as u64).sum();
-            st.nodes[node.0 as usize].stats.notices_applied +=
-                (invalidate.len() + flush_first.len()) as u64 + fwd;
-        }
-        for page_idx in flush_first {
-            self.flush_dirty_page(sim, page_idx);
-            invalidate.push(page_idx);
-        }
-        for page_idx in &invalidate {
-            let page = PageNum::new(*page_idx);
-            self.cluster
-                .mem
-                .set_prot(node, page, Prot::None)
-                .expect("cached copy mapped");
-            {
-                let mut st = self.state.lock();
-                let np = &mut st.nodes[node.0 as usize];
-                np.copies.remove(page_idx);
-                if np.prefetched.remove(page_idx).is_some() {
-                    np.stats.prefetch_wasted += 1;
-                }
-            }
-            self.trace(sim, crate::trace::TraceEvent::Invalidate { node, page });
-        }
-        let mut forwarded_pages = 0u64;
-        for ((_home_id, region_id), pages) in &forward {
-            let region = RegionId(*region_id);
-            // The home region may never have been imported here (a copy
-            // can originate from an earlier forward); import lazily.
-            let need_import = {
-                let mut st = self.state.lock();
-                st.nodes[node.0 as usize]
-                    .imported
-                    .insert(region.0, ())
-                    .is_none()
-            };
-            if need_import {
-                self.reg_op(sim, node, "region import failed", Some(region), || {
-                    self.cluster.vmmc.import_region(node, region)
-                })
-                .unwrap_or_else(|e| panic!("{e}"));
-                sim.advance(self.cluster.vmmc.config().import_op_ns);
-            }
-            let segs: Vec<(u64, u64)> = pages.iter().map(|(_, off, _)| (*off, PAGE_SIZE)).collect();
-            let t_issue = sim.now();
-            let (all, times) = self
-                .fetch_multi_with_recovery(sim, node, "lock-forward fetch failed", region, &segs)
-                .unwrap_or_else(|e| panic!("{e}"));
-            // The acquirer needs every forwarded page current before the
-            // critical section runs, so it waits for the whole batch.
-            let done = *times.last().expect("at least one segment");
-            sim.clock_at_least(done);
-            if done > t_issue {
-                if let Some(o) = self.obs_if_on() {
-                    o.edge(
-                        obs::EdgeKind::BatchFetch,
-                        node,
-                        sim.tid().0,
-                        t_issue,
-                        node,
-                        sim.tid().0,
-                        done,
-                        *_home_id as u64,
-                    );
-                }
-            }
-            for ((page_idx, _, version), data) in pages.iter().zip(all) {
-                let page = PageNum::new(*page_idx);
-                let (frame, _) = self
-                    .cluster
-                    .mem
-                    .translate(node, page)
-                    .expect("stale copy mapped");
-                self.cluster.mem.frame_write(frame, 0, &data);
-                self.cluster
-                    .mem
-                    .set_prot(node, page, Prot::Read)
-                    .expect("stale copy mapped");
-                sim.advance(self.cluster.mem.config().protect_ns);
-                let mut st = self.state.lock();
-                let np = &mut st.nodes[node.0 as usize];
-                // The copy may have been removed by a concurrent acquire
-                // on this node; recreate it with the refreshed version.
-                let copy = np.copies.entry(*page_idx).or_insert(CopyState {
-                    version: 0,
-                    dirty: None,
-                });
-                copy.version = *version;
-                np.prefetched.remove(page_idx);
-                forwarded_pages += 1;
-            }
-            {
-                let mut st = self.state.lock();
-                let np = &mut st.nodes[node.0 as usize];
-                np.stats.lock_forwards += 1;
-                np.stats.lock_forward_bytes += PAGE_SIZE * pages.len() as u64;
-            }
-        }
-        if applied > 0 {
-            sim.advance(self.cfg.costs.notice_apply_ns * invalidate.len().max(1) as u64);
-            if let Some(o) = self.obs_if_on() {
-                if forwarded_pages > 0 {
-                    let bytes = forwarded_pages * PAGE_SIZE;
-                    o.instant(
-                        obs::Layer::Proto,
-                        node,
-                        sim.tid().0,
-                        sim.now(),
-                        obs::Event::LockForward {
-                            pages: forwarded_pages,
-                            bytes,
-                        },
-                    );
-                }
-                o.span(
-                    obs::Layer::Proto,
-                    node,
-                    sim.tid().0,
-                    t0,
-                    sim.now().saturating_since(t0),
-                    obs::Event::AcquireSpan {
-                        invals: invalidate.len() as u64,
-                    },
-                );
-            }
-        }
-    }
-
     /// Detailed misplacement list `(page, first_toucher, home)` for
     /// diagnostics.
     pub fn misplaced_pages(&self) -> Vec<(u64, NodeId, NodeId)> {
@@ -2027,61 +1817,13 @@ impl SvmSystem {
         out
     }
 
-    /// Applies the configured migration policy for one dirty chunk at
-    /// release time. The counter policy takes precedence when both knobs
-    /// are set; with neither set this is never called.
-    fn consider_migration(&self, sim: &Sim, page: PageNum) {
-        if let Some(policy) = self.cfg.placement_policy {
-            self.consider_migration_counters(sim, page, policy);
-        } else if let Some(threshold) = self.cfg.migration_threshold {
-            self.consider_migration_streak(sim, page, threshold);
-        }
-    }
-
-    /// The legacy streak policy: bump the chunk's sole-remote-differ
-    /// streak and migrate the chunk here once the streak reaches
-    /// `threshold`.
-    fn consider_migration_streak(&self, sim: &Sim, page: PageNum, threshold: u32) {
-        let node = sim.node();
-        let gran = self.cfg.home_granularity_pages;
-        let chunk_base = page.chunk_base(gran);
-        let migrate = {
-            let mut st = self.state.lock();
-            let home = match st.dir.get(&page.index()) {
-                Some(d) => d.home,
-                None => return,
-            };
-            if home == node {
-                return;
-            }
-            if !self.chunk_migratable(&st, node, chunk_base) {
-                return;
-            }
-            let e = st
-                .diff_streaks
-                .entry(chunk_base.index())
-                .or_insert((node, 0));
-            if e.0 == node {
-                e.1 += 1;
-            } else {
-                *e = (node, 1);
-            }
-            e.1 >= threshold
-        };
-        if migrate {
-            self.migrate_chunk(sim, chunk_base);
-            let mut st = self.state.lock();
-            st.diff_streaks.remove(&chunk_base.index());
-        }
-    }
-
-    /// The counter-driven policy: migrate the chunk here when this node
+    /// The migration policy: migrate the chunk here when this node
     /// dominates its accumulated remote fetch+diff traffic, the traffic
     /// cleared the policy floor, and the chunk is out of its
     /// post-migration cooldown (hysteresis against home thrash). The
     /// dominance test inherently refuses ping-ponging chunks — traffic
     /// split between alternating nodes never clears it.
-    fn consider_migration_counters(&self, sim: &Sim, page: PageNum, policy: PlacementPolicy) {
+    fn consider_migration(&self, sim: &Sim, page: PageNum, policy: PlacementPolicy) {
         let node = sim.node();
         let gran = self.cfg.home_granularity_pages;
         let chunk_base = page.chunk_base(gran);
@@ -2138,7 +1880,7 @@ impl SvmSystem {
         }
     }
 
-    /// Safety invariants shared by both migration policies: only migrate
+    /// Safety invariants of migration: only migrate
     /// chunks whose local copies are all current (another interval's diff
     /// would otherwise be lost) and on which no other node holds
     /// unflushed dirty words.
@@ -2339,7 +2081,6 @@ impl SvmSystem {
             out.prefetch_hits += s.prefetch_hits;
             out.prefetch_wasted += s.prefetch_wasted;
             out.lock_forwards += s.lock_forwards;
-            out.lock_forward_bytes += s.lock_forward_bytes;
             out.pingpong_handoffs += s.pingpong_handoffs;
             out.policy_considered += s.policy_considered;
             out.policy_migrations += s.policy_migrations;

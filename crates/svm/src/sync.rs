@@ -109,9 +109,7 @@ impl SvmSystem {
             self.crash_check(sim);
         }
 
-        // With lock-data forwarding the grant carries hot-page contents,
-        // so the acquire can refresh instead of invalidate.
-        self.acquire_on_lock(sim);
+        self.acquire(sim);
         if let Some(o) = self.obs_if_on() {
             o.span(
                 obs::Layer::Sync,
@@ -164,7 +162,7 @@ impl SvmSystem {
             } else if !local_grant {
                 sim.advance(self.cfg.costs.lock_handler_ns);
             }
-            self.acquire_on_lock(sim);
+            self.acquire(sim);
             true
         } else {
             // A failed probe still costs the manager round trip when the

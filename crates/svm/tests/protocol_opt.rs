@@ -1,17 +1,16 @@
-//! The protocol-traffic optimizations (batched diffs, stride prefetch,
-//! lock-data forwarding) are value-preserving, off-by-default, and
-//! replay-identical under chaos; migration policy decisions are
-//! independent of diff batching.
+//! The protocol-traffic optimizations (batched diffs, stride prefetch)
+//! are value-preserving, off-by-default, and replay-identical under
+//! chaos; migration policy decisions are independent of diff batching.
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use cables_svm::{Cluster, ClusterConfig, NodeStats, SvmConfig, SvmSystem};
+use cables_svm::{Cluster, ClusterConfig, NodeStats, PlacementPolicy, SvmConfig, SvmSystem};
 
 const PAGE: u64 = 4096;
 
-fn opts_cfg(batch: bool, prefetch: bool, forward: bool) -> SvmConfig {
-    SvmConfig::cables().with_protocol_opts(batch, prefetch, forward)
+fn opts_cfg(batch: bool, prefetch: bool) -> SvmConfig {
+    SvmConfig::cables().with_protocol_opts(batch, prefetch)
 }
 
 /// Master first-touches `pages` pages on node 0, a worker on node 1 scans
@@ -62,8 +61,8 @@ fn scan_run(cfg: SvmConfig, pages: u64) -> (NodeStats, u64) {
 
 #[test]
 fn sequential_scan_prefetches_and_preserves_values() {
-    let (off, sum_off) = scan_run(opts_cfg(false, false, false), 16);
-    let (on, sum_on) = scan_run(opts_cfg(false, true, false), 16);
+    let (off, sum_off) = scan_run(opts_cfg(false, false), 16);
+    let (on, sum_on) = scan_run(opts_cfg(false, true), 16);
     assert_eq!(sum_on, sum_off, "prefetch changed observed values");
     assert_eq!(off.prefetch_issued, 0);
     assert_eq!(off.prefetch_hits, 0);
@@ -79,8 +78,8 @@ fn sequential_scan_prefetches_and_preserves_values() {
 
 #[test]
 fn batched_diffs_cut_messages_not_bytes() {
-    let (off, sum_off) = scan_run(opts_cfg(false, false, false), 16);
-    let (on, sum_on) = scan_run(opts_cfg(true, false, false), 16);
+    let (off, sum_off) = scan_run(opts_cfg(false, false), 16);
+    let (on, sum_on) = scan_run(opts_cfg(true, false), 16);
     assert_eq!(sum_on, sum_off, "batching changed observed values");
     assert_eq!(off.diff_batches, 0);
     assert!(on.diff_batches >= 1, "no diff batch was shipped");
@@ -96,63 +95,9 @@ fn batched_diffs_cut_messages_not_bytes() {
     );
 }
 
-/// Master bumps a page under a lock; a fresh worker is spawned each round
-/// to read it back. Workers alternate nodes (round-robin placement), so
-/// node 1 re-fetches the page round after round — exactly the hot-page
-/// pattern lock forwarding targets.
-fn pingpong_run(cfg: SvmConfig, rounds: u64) -> NodeStats {
-    let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
-    let out = Arc::new(StdMutex::new(NodeStats::default()));
-    let o2 = Arc::clone(&out);
-    let s2 = Arc::clone(&sys);
-    cluster
-        .engine
-        .clone()
-        .run(cluster.nodes()[0], move |sim| {
-            let a = s2.g_malloc(sim, PAGE);
-            s2.write::<u64>(sim, a, 0);
-            for r in 0..rounds {
-                s2.lock(sim, 1);
-                s2.write::<u64>(sim, a, 100 + r);
-                s2.unlock(sim, 1);
-                let s3 = Arc::clone(&s2);
-                let worker = s2.create(sim, move |ws| {
-                    s3.lock(ws, 1);
-                    assert_eq!(s3.read::<u64>(ws, a), 100 + r, "round {r}");
-                    s3.unlock(ws, 1);
-                });
-                sim.wait_exit(worker);
-            }
-            *o2.lock().unwrap() = s2.total_stats();
-        })
-        .unwrap();
-    let v = *out.lock().unwrap();
-    v
-}
-
-#[test]
-fn lock_forwarding_refreshes_hot_pages_at_grant() {
-    let mut on = opts_cfg(false, false, true);
-    on.lock_forward_hot = 2;
-    let st_on = pingpong_run(on, 10);
-    let st_off = pingpong_run(opts_cfg(false, false, false), 10);
-    assert_eq!(st_off.lock_forwards, 0);
-    assert!(
-        st_on.lock_forwards >= 1,
-        "hot stale page was never forwarded at a lock grant"
-    );
-    assert!(
-        st_on.remote_fetches < st_off.remote_fetches,
-        "forwarding did not displace demand fetches ({} -> {})",
-        st_off.remote_fetches,
-        st_on.remote_fetches
-    );
-}
-
 #[test]
 fn all_off_matches_baseline_config_byte_for_byte() {
-    // `with_protocol_opts(false, false, false)` and an untouched
+    // `with_protocol_opts(false, false)` and an untouched
     // `SvmConfig::cables()` must drive byte-identical runs: same stats,
     // same simulated times, same Chrome-trace export.
     let run = |cfg: SvmConfig| -> (NodeStats, String, u64) {
@@ -191,7 +136,7 @@ fn all_off_matches_baseline_config_byte_for_byte() {
         v
     };
     let (st_base, trace_base, v_base) = run(SvmConfig::cables());
-    let (st_off, trace_off, v_off) = run(opts_cfg(false, false, false));
+    let (st_off, trace_off, v_off) = run(opts_cfg(false, false));
     assert_eq!(v_base, 17);
     assert_eq!(v_off, v_base);
     assert_eq!(st_off, st_base, "all-off must not perturb any counter");
@@ -206,7 +151,6 @@ fn all_off_matches_baseline_config_byte_for_byte() {
     assert_eq!(st_base.prefetch_hits, 0);
     assert_eq!(st_base.prefetch_wasted, 0);
     assert_eq!(st_base.lock_forwards, 0);
-    assert_eq!(st_base.lock_forward_bytes, 0);
 }
 
 #[test]
@@ -224,9 +168,7 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
                 ..chaos::WireFaults::default()
             }),
         ));
-        let mut cfg = opts_cfg(true, true, true);
-        cfg.lock_forward_hot = 2;
-        let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
+        let sys = SvmSystem::new(Arc::clone(&cluster), opts_cfg(true, true));
         let out = Arc::new(StdMutex::new((0u64, NodeStats::default(), 0u64)));
         let o2 = Arc::clone(&out);
         let s2 = Arc::clone(&sys);
@@ -267,12 +209,13 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
     assert_eq!(v1, v2, "chaos replay diverged in data");
 }
 
-/// The migration streak counter must see one diff event per chunk per
-/// release regardless of how the diffs travel: batching on and off must
-/// migrate at exactly the same threshold.
-fn migration_run(threshold: Option<u32>, batch: bool, rounds: u64) -> (u64, u64, u64) {
-    let mut cfg = opts_cfg(batch, false, false);
-    cfg.migration_threshold = threshold;
+/// The placement policy's traffic counters must see one diff message per
+/// chunk per release regardless of how the diffs travel: batching on and
+/// off must migrate at exactly the same release. Returns (node-1 diffs,
+/// migrations to node 1, final value seen by node 0).
+fn migration_run(policy: Option<PlacementPolicy>, batch: bool, rounds: u64) -> (u64, u64, u64) {
+    let mut cfg = opts_cfg(batch, false);
+    cfg.placement_policy = policy;
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
     let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
     let out = Arc::new(StdMutex::new((0u64, 0u64, 0u64)));
@@ -307,20 +250,22 @@ fn migration_run(threshold: Option<u32>, batch: bool, rounds: u64) -> (u64, u64,
 }
 
 #[test]
-fn migration_triggers_at_the_same_threshold_with_batching() {
-    for threshold in [None, Some(3)] {
-        let (diffs_off, mig_off, v_off) = migration_run(threshold, false, 8);
-        let (diffs_on, mig_on, v_on) = migration_run(threshold, true, 8);
+fn migration_triggers_at_the_same_release_with_batching() {
+    for policy in [None, Some(PlacementPolicy::default())] {
+        let (diffs_off, mig_off, v_off) = migration_run(policy, false, 16);
+        let (diffs_on, mig_on, v_on) = migration_run(policy, true, 16);
         assert_eq!(
             mig_on, mig_off,
-            "batching changed the migration decision at threshold {threshold:?}"
+            "batching changed the migration decision under {policy:?}"
         );
-        assert_eq!(v_on, v_off, "data diverged at threshold {threshold:?}");
-        // One page to one home per release: message counts agree too.
-        assert_eq!(diffs_on, diffs_off);
+        assert_eq!(v_on, v_off, "data diverged under {policy:?}");
+        // One page to one home per release, and remote diffs stop once
+        // the writer is home: equal counts mean the same release.
+        assert_eq!(diffs_on, diffs_off, "migrated at a different release under {policy:?}");
     }
-    // And the policy still actually fires at its documented threshold.
-    let (_, mig, v) = migration_run(Some(3), true, 8);
+    // And the policy still actually fires, once, before the run ends.
+    let (diffs, mig, v) = migration_run(Some(PlacementPolicy::default()), true, 16);
     assert_eq!(mig, 1);
-    assert_eq!(v, 701);
+    assert!(diffs < 16, "the writer never became home ({diffs} remote diffs)");
+    assert_eq!(v, 1501);
 }

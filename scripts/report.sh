@@ -7,8 +7,8 @@
 #   BENCH_chaos.json      fault-injection ladder: completion, retries and
 #                         recovery latencies per escalating fault level
 #   BENCH_protocol.json   protocol-traffic ablation: batched diffs x
-#                         stride prefetch x lock forwarding, full 2x2x2
-#                         grid at 16 nodes with per-point message counts
+#                         stride prefetch, full 2x2 grid at 16 nodes
+#                         with per-point message counts
 #                         and the critical-path blame of both corners
 #   BENCH_table3.json     paper Table 3: basic VMMC costs
 #   BENCH_table4.json     paper Table 4: CableS basic-event costs
@@ -22,9 +22,8 @@
 #   BENCH_service.json    sharded KV service under generated traffic:
 #                         throughput + p50/p95/p99 per arrival pattern x
 #                         node count, replay identity, chaos crash cell
-#                         with windowed recovery, lock-forwarding
-#                         ablation (stream_service.ndjson is its live
-#                         metric series)
+#                         with windowed recovery (stream_service.ndjson
+#                         is its live metric series)
 #   BENCH_placement.json  sharing-aware placement policy: off/on message
 #                         and time deltas for OCEAN, RADIX and the
 #                         zipfian service (bit-identical results), plus
@@ -142,9 +141,8 @@ for path in sorted(glob.glob("BENCH_*.json")):
                          f"floor {w['floor']}x)"))
     elif name == "protocol":
         for k in d["kernels"]:
-            g = {(p["batch_diffs"], p["prefetch"], p["lock_forwarding"]): p
-                 for p in k["grid"]}
-            off, on = g[(False, False, False)], g[(True, True, True)]
+            g = {(p["batch_diffs"], p["prefetch"]): p for p in k["grid"]}
+            off, on = g[(False, False)], g[(True, True)]
             rows.append((k["kernel"],
                          f"fetches {off['remote_fetches']} -> {on['remote_fetches']}, "
                          f"diffs {off['diffs_sent']} -> {on['diffs_sent']}, "
@@ -192,7 +190,7 @@ for path in sorted(glob.glob("BENCH_*.json")):
                          f"page {ms(g['pg_parallel_ns'])} "
                          f"({g['pg_misplaced_pct']:.0f}%)"))
         mig = {m["mode"]: m for m in d["migration"]}
-        off, on = mig["off"], mig["migrate_after_3"]
+        off, on = mig["off"], mig["policy"]
         rows.append(("migration", f"diffs {off['diffs_sent']} -> "
                      f"{on['diffs_sent']}, time {ms(off['total_ns'])} -> "
                      f"{ms(on['total_ns'])}"))
@@ -214,10 +212,6 @@ for path in sorted(glob.glob("BENCH_*.json")):
         rows.append(("chaos", f"crash node {ch['crash_node']}, "
                      f"{ch['served']}+{ch['direct_served']} of {ch['requests']} "
                      f"answered, {ch['post_crash_window_completions']} post-crash"))
-        ab = d["ablation"]
-        rows.append(("forwarding", f"lock_forwards "
-                     f"{ab['off']['lock_forwards']} -> "
-                     f"{ab['on']['lock_forwards']} (digests identical)"))
     elif name == "placement":
         for w in d["workloads"]:
             off, on = w["off"], w["on"]

@@ -29,6 +29,9 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "==> cargo bench --bench $bench -- --test"
         cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test
     done
+    # (The protocol_opt smoke run itself enforces the protocol-traffic
+    # ceilings: all-on must beat all-off on message counts and stay
+    # under the smoke-size ceilings, or the bench panics.)
     # Every BENCH artifact must parse against the repo's own JSON
     # grammar (obs::json, via cablestat) — the same validator the diff
     # gate relies on. The NDJSON metric streams the obs_report and
@@ -55,33 +58,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
             echo "==> validate $f"
             python3 -m json.tool "$f" > /dev/null
         done
-        # Protocol-traffic regression guard: the all-on corner must keep
-        # beating the all-off corner on message counts, and must stay
-        # under hard ceilings snapshotted when the optimizations landed
-        # (smoke sizes: FFT m=10, RADIX 16K keys — all-on measured
-        # 124/74 and 553/61; the simulator is deterministic, so the
-        # ceilings are tight). A protocol change that re-inflates
-        # traffic fails here, not in review.
-        echo "==> protocol traffic ceilings (BENCH_protocol.json)"
-        python3 - <<'PYEOF'
-import json, sys
-CEILINGS = {"FFT": (130, 78), "RADIX": (560, 70)}
-doc = json.load(open("BENCH_protocol.json"))
-assert doc["smoke"], "guard ceilings are calibrated for smoke sizes"
-bad = False
-for k in doc["kernels"]:
-    grid = {(g["batch_diffs"], g["prefetch"], g["lock_forwarding"]): g for g in k["grid"]}
-    off, on = grid[(False, False, False)], grid[(True, True, True)]
-    fc, dc = CEILINGS[k["kernel"]]
-    for name, o0, o1, cap in [
-        ("remote_fetches", off["remote_fetches"], on["remote_fetches"], fc),
-        ("diffs_sent", off["diffs_sent"], on["diffs_sent"], dc),
-    ]:
-        ok = o1 < o0 and o1 <= cap
-        print(f"    {k['kernel']:<6} {name:<15} off={o0:>5} on={o1:>5} ceiling={cap:>5} {'OK' if ok else 'REGRESSED'}")
-        bad |= not ok
-sys.exit(1 if bad else 0)
-PYEOF
     fi
     # Causal edges must survive export: the trace carries Perfetto flow
     # events (ph "s"/"f" pairs) linking cause to effect across lanes.

@@ -1,37 +1,28 @@
-//! The protocol-traffic optimizations (batched diffs, stride prefetch,
-//! lock-data forwarding) are value-preserving on real kernels: FFT and
-//! RADIX compute bit-identical results at every point of the 2×2×2
-//! toggle grid. (The full-size version of this check, plus the traffic
-//! and timing claims, lives in the `protocol_opt` bench.)
+//! The protocol-traffic optimizations (batched diffs, stride prefetch)
+//! are value-preserving on real kernels: FFT and RADIX compute
+//! bit-identical results at every point of the 2×2 toggle grid. (The
+//! full-size version of this check, plus the traffic and timing claims,
+//! lives in the `protocol_opt` bench.)
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use cables::CablesConfig;
-use cables_apps::splash::{fft, radix};
-use cables_apps::{M4Ctx, M4System};
-use svm::{Cluster, ClusterConfig, SvmConfig};
+use cables_suite::apps::splash::{fft, radix};
+use cables_suite::apps::{M4Ctx, M4System};
+use cables_suite::cables::CablesConfig;
+use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig};
 
-const GRID: [(bool, bool, bool); 8] = [
-    (false, false, false),
-    (true, false, false),
-    (false, true, false),
-    (false, false, true),
-    (true, true, false),
-    (true, false, true),
-    (false, true, true),
-    (true, true, true),
-];
+const GRID: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 fn run_grid<F>(body: F) -> Vec<u64>
 where
     F: Fn(&M4Ctx) -> u64 + Send + Sync + Clone + 'static,
 {
     GRID.iter()
-        .map(|&(b, p, f)| {
+        .map(|&(b, p)| {
             let cluster = Cluster::build(ClusterConfig::small(2, 2));
             let cfg = CablesConfig {
-                svm: SvmConfig::cables().with_protocol_opts(b, p, f),
+                svm: SvmConfig::cables().with_protocol_opts(b, p),
                 ..CablesConfig::paper()
             };
             let sys = M4System::cables_with(Arc::clone(&cluster), cfg);
@@ -41,7 +32,7 @@ where
             sys.run(move |ctx| {
                 *r2.lock().unwrap() = Some(body(ctx));
             })
-            .unwrap_or_else(|e| panic!("batch={b} prefetch={p} fwd={f}: {e}"));
+            .unwrap_or_else(|e| panic!("batch={b} prefetch={p}: {e}"));
             let v = result.lock().unwrap().take().expect("result produced");
             v
         })
