@@ -7,13 +7,14 @@
 //! 5. the home-migration policy extension (the paper ships mechanisms
 //!    only) on a producer-migrates workload.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use apps::splash::{lu, ocean, radix, volrend};
 use apps::{M4Ctx, M4Mode, M4System};
 use cables::CablesConfig;
 use cables_bench::{cluster_for, fmt_ns, header, run_app, smoke_mode, write_artifact, AppId};
+use obs::json::Value;
+use obs::obj;
 use svm::Cluster;
 
 /// Runs an app body under a CableS config and returns
@@ -81,8 +82,7 @@ fn main() {
     let smoke = smoke_mode();
     let procs = if smoke { 4 } else { 16 };
     // The BENCH_ablations.json artifact, built section by section.
-    let mut aj = String::from("{\n");
-    let _ = write!(aj, "  \"bench\": \"ablations\",\n  \"smoke\": {smoke},\n  \"procs\": {procs},");
+    let mut aj = obj! { "bench" => "ablations", "smoke" => smoke, "procs" => procs };
 
     // --- 1. Mapping granularity: 64 KB vs 4 KB. ---
     println!("1) home-binding granularity ({procs} procs, CableS):");
@@ -99,8 +99,8 @@ fn main() {
             ("LU", AppId::Lu),
         ]
     };
-    aj.push_str("\n  \"granularity\": [");
-    for (i, &(name, app)) in gran_apps.iter().enumerate() {
+    let mut rows = Vec::new();
+    for &(name, app) in gran_apps {
         let nt = run_app(M4Mode::Cables, app, procs, None);
         let mut pg_cfg = CablesConfig::paper();
         pg_cfg.svm.home_granularity_pages = 1;
@@ -113,19 +113,15 @@ fn main() {
             nt.placement.misplaced_pct(),
             pg_mis
         );
-        let _ = write!(
-            aj,
-            "{}\n    {{\"kernel\": \"{}\", \"nt_parallel_ns\": {}, \"pg_parallel_ns\": {}, \
-             \"nt_misplaced_pct\": {:.2}, \"pg_misplaced_pct\": {:.2}}}",
-            if i > 0 { "," } else { "" },
-            name,
-            nt.parallel_ns.unwrap_or(0),
-            pg_ns,
-            nt.placement.misplaced_pct(),
-            pg_mis
-        );
+        rows.push(obj! {
+            "kernel" => name,
+            "nt_parallel_ns" => nt.parallel_ns.unwrap_or(0),
+            "pg_parallel_ns" => pg_ns,
+            "nt_misplaced_pct" => Value::fixed(nt.placement.misplaced_pct(), 2),
+            "pg_misplaced_pct" => Value::fixed(pg_mis, 2),
+        });
     }
-    aj.push_str("\n  ],");
+    aj.push("granularity", rows);
     println!("   -> page-granular binding removes all misplacement (the paper's");
     println!("      NT limitation is the sole source of CableS's parallel overhead)");
     println!();
@@ -135,14 +131,11 @@ fn main() {
     //        it to CableS, whose misplaced single-writer pages then stop
     //        paying release fences. ---
     println!("2) single-writer write-through (CableS counterfactual, OCEAN, {procs} procs):");
-    aj.push_str("\n  \"write_through\": [");
-    for (i, (label, mode, wt)) in [
+    let mut rows = Vec::new();
+    for (label, mode, wt) in [
         ("absent (paper CableS)", "absent", false),
         ("granted (counterfactual)", "granted", true),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         let mut cfg = CablesConfig::paper();
         cfg.svm.write_through_single_writer = wt;
         let p = if smoke {
@@ -154,13 +147,9 @@ fn main() {
             ocean::ocean(ctx, &p);
         });
         println!("   {:<26} parallel time {}", label, fmt_ns(ns));
-        let _ = write!(
-            aj,
-            "{}\n    {{\"mode\": \"{mode}\", \"parallel_ns\": {ns}}}",
-            if i > 0 { "," } else { "" }
-        );
+        rows.push(obj! { "mode" => mode, "parallel_ns" => ns });
     }
-    aj.push_str("\n  ],");
+    aj.push("write_through", rows);
     println!("   -> in this model the fence saving is minor: the OCEAN gap is");
     println!("      dominated by misplaced-page diff traffic (ablation 1) plus the");
     println!("      base system's registration-failure ceiling (Fig. 5c)");
@@ -168,8 +157,8 @@ fn main() {
 
     // --- 3. Registration pressure: double mapping vs per-run regions. ---
     println!("3) NIC registration pressure (OCEAN, {procs} procs):");
-    aj.push_str("\n  \"nic_pressure\": [");
-    for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for mode in [M4Mode::Base, M4Mode::Cables] {
         let out = run_app(mode, AppId::Ocean, procs, None);
         println!(
             "   {:<8} max regions on any NIC: {:>5}   ({})",
@@ -181,14 +170,9 @@ fn main() {
                 "one region per placement run"
             }
         );
-        let _ = write!(
-            aj,
-            "{}\n    {{\"mode\": \"{mode:?}\", \"max_nic_regions\": {}}}",
-            if i > 0 { "," } else { "" },
-            out.max_nic_regions
-        );
+        rows.push(obj! { "mode" => format!("{mode:?}"), "max_nic_regions" => out.max_nic_regions });
     }
-    aj.push_str("\n  ],");
+    aj.push("nic_pressure", rows);
     println!();
 
     // --- 4. Barrier construction: the CableS pthread_barrier extension
@@ -197,8 +181,8 @@ fn main() {
     println!("4) barrier construction, native extension vs mutex+cond:");
     println!("   {:<8} {:>14} {:>16} {:>8}", "nodes", "native", "mutex+cond", "ratio");
     let node_sizes: &[usize] = if smoke { &[2] } else { &[2, 4, 8] };
-    aj.push_str("\n  \"barriers\": [");
-    for (bi, &nodes) in node_sizes.iter().enumerate() {
+    let mut rows = Vec::new();
+    for &nodes in node_sizes {
         let cluster = Cluster::build(svm::ClusterConfig::small(nodes, 1));
         let cfg = CablesConfig {
             max_threads_per_node: 1,
@@ -246,13 +230,9 @@ fn main() {
             fmt_ns(mcb_ns),
             mcb_ns as f64 / native_ns.max(1) as f64
         );
-        let _ = write!(
-            aj,
-            "{}\n    {{\"nodes\": {nodes}, \"native_ns\": {native_ns}, \"mutex_cond_ns\": {mcb_ns}}}",
-            if bi > 0 { "," } else { "" }
-        );
+        rows.push(obj! { "nodes" => nodes, "native_ns" => native_ns, "mutex_cond_ns" => mcb_ns });
     }
-    aj.push_str("\n  ],");
+    aj.push("barriers", rows);
     println!("   -> the point-to-point pthreads construction centralizes on one");
     println!("      node and degrades with cluster size (paper Table 4: 70us vs 13ms)");
     println!();
@@ -261,14 +241,11 @@ fn main() {
     //        mechanisms, no policy). A worker on node 1 repeatedly
     //        updates a segment first-touched by the master. ---
     println!("5) home-migration policy (extension; counter-driven placement policy):");
-    aj.push_str("\n  \"migration\": [");
-    for (mi, (label, mode, policy)) in [
+    let mut rows = Vec::new();
+    for (label, mode, policy) in [
         ("off (paper)", "off", None),
         ("placement policy", "policy", Some(svm::PlacementPolicy::default())),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         let cluster = Cluster::build(svm::ClusterConfig::small(2, 1));
         let mut scfg = svm::SvmConfig::cables();
         scfg.placement_policy = policy;
@@ -302,19 +279,15 @@ fn main() {
             st.diff_bytes,
             st.migrations
         );
-        let _ = write!(
-            aj,
-            "{}\n    {{\"mode\": \"{}\", \"total_ns\": {}, \"diffs_sent\": {}, \
-             \"diff_bytes\": {}, \"migrations\": {}}}",
-            if mi > 0 { "," } else { "" },
-            mode,
-            end.as_nanos(),
-            st.diffs_sent,
-            st.diff_bytes,
-            st.migrations
-        );
+        rows.push(obj! {
+            "mode" => mode,
+            "total_ns" => end.as_nanos(),
+            "diffs_sent" => st.diffs_sent,
+            "diff_bytes" => st.diff_bytes,
+            "migrations" => st.migrations,
+        });
     }
-    aj.push_str("\n  ]\n}\n");
+    aj.push("migration", rows);
     println!("   -> migrating the segment to its sole writer eliminates the");
     println!("      per-release diff traffic (the policy the paper leaves open)");
     println!();

@@ -18,13 +18,16 @@
 //! Run with `--test` for the CI smoke mode (tiny sizes, same assertions,
 //! same artifact).
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex as StdMutex};
 
 use apps::splash::{fft, radix};
 use apps::{M4Ctx, M4System};
-use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, StreamExporter};
+use cables_bench::{
+    cluster_for, fmt_ns, header, repo_root, smoke_mode, write_artifact, StreamExporter,
+};
 use chaos::{ChaosEngine, ChaosStats, FaultPlan, ResourceFaults, WireFaults};
+use obs::json::Value;
+use obs::obj;
 use obs::series;
 use obs::stream::parse_stream;
 use svm::Cluster;
@@ -213,8 +216,7 @@ fn main() {
         },
     ];
 
-    let mut artifact = String::from("{\n  \"bench\": \"chaos_soak\",\n");
-    let _ = write!(artifact, "  \"smoke\": {smoke},\n  \"kernels\": [");
+    let mut kernels = Vec::new();
 
     for (wi, w) in workloads.iter().enumerate() {
         // Baseline without any engine attached: the reference end time and
@@ -229,15 +231,7 @@ fn main() {
             "level", "time", "wireflt", "retries", "evicts", "crashes", "recov", "recovery latency"
         );
 
-        if wi > 0 {
-            artifact.push(',');
-        }
-        let _ = write!(
-            artifact,
-            "\n    {{\n      \"kernel\": \"{}\",\n      \"procs\": {},\n      \"clean_ns\": {},\n      \"levels\": [",
-            w.name, w.procs, clean_ns
-        );
-
+        let mut levels = Vec::new();
         let mut completed = 0usize;
         for (li, level) in LEVELS.iter().enumerate() {
             let seed = 0xC4B1E5 ^ (wi as u64) << 8 ^ li as u64;
@@ -252,8 +246,8 @@ fn main() {
             let s = &out.stats;
             if let Some(sum) = &stream_summary {
                 let text = std::fs::read_to_string(format!(
-                    "{}/../../target/artifacts/stream_CHAOS_FFT.ndjson",
-                    env!("CARGO_MANIFEST_DIR")
+                    "{}/target/artifacts/stream_CHAOS_FFT.ndjson",
+                    repo_root()
                 ))
                 .expect("read chaos stream");
                 let frames = parse_stream(&text).expect("chaos stream").frames;
@@ -326,34 +320,32 @@ fn main() {
                 )),
             );
 
-            if li > 0 {
-                artifact.push(',');
-            }
-            let _ = write!(
-                artifact,
-                "\n        {{\n          \"level\": \"{}\",\n          \"completed\": true,\n          \"sim_time_ns\": {},\n          \"slowdown\": {:.4},\n          \"wire_faults\": {},\n          \"retransmits\": {},\n          \"duplicates\": {},\n          \"resource_faults\": {},\n          \"retries\": {},\n          \"evictions\": {},\n          \"crashes\": {},\n          \"recoveries\": {},\n          \"nodes_detached\": {},\n          \"recovery_latency_ns\": {}\n        }}",
-                level.name,
-                total_ns,
-                total_ns as f64 / clean_ns as f64,
-                s.wire_faults,
-                s.retransmits,
-                s.duplicates,
-                s.resource_faults,
-                s.retries,
-                s.evictions,
-                s.crashes,
-                s.recoveries,
-                out.nodes_detached,
-                lat.map_or("null".to_string(), |(min, avg, max)| format!(
-                    "{{\"min\": {min}, \"avg\": {avg}, \"max\": {max}}}"
-                )),
-            );
+            levels.push(obj! {
+                "level" => level.name,
+                "completed" => true,
+                "sim_time_ns" => total_ns,
+                "slowdown" => Value::fixed(total_ns as f64 / clean_ns as f64, 4),
+                "wire_faults" => s.wire_faults,
+                "retransmits" => s.retransmits,
+                "duplicates" => s.duplicates,
+                "resource_faults" => s.resource_faults,
+                "retries" => s.retries,
+                "evictions" => s.evictions,
+                "crashes" => s.crashes,
+                "recoveries" => s.recoveries,
+                "nodes_detached" => out.nodes_detached,
+                "recovery_latency_ns" => lat.map(|(min, avg, max)| {
+                    obj! { "min" => min, "avg" => avg, "max" => max }
+                }),
+            });
         }
-        let _ = write!(
-            artifact,
-            "\n      ],\n      \"completion_rate\": {:.2}\n    }}",
-            completed as f64 / LEVELS.len() as f64
-        );
+        kernels.push(obj! {
+            "kernel" => w.name,
+            "procs" => w.procs,
+            "clean_ns" => clean_ns,
+            "levels" => Value::Arr(levels),
+            "completion_rate" => Value::fixed(completed as f64 / LEVELS.len() as f64, 2),
+        });
         println!(
             "  completion: {}/{} levels (every level must complete; a miss aborts the bench)",
             completed,
@@ -362,11 +354,12 @@ fn main() {
         println!();
     }
 
-    artifact.push_str("\n  ]\n}\n");
-    obs::json::validate(&artifact).expect("chaos artifact JSON is well-formed");
-    let path = format!("{}/../../BENCH_chaos.json", env!("CARGO_MANIFEST_DIR"));
-    std::fs::write(&path, &artifact).expect("write BENCH_chaos.json");
-    println!("fault-ladder results written to BENCH_chaos.json");
+    let artifact = obj! {
+        "bench" => "chaos_soak",
+        "smoke" => smoke,
+        "kernels" => Value::Arr(kernels),
+    };
+    write_artifact("BENCH_chaos.json", &artifact);
     println!("determinism: every level is a fixed (seed, plan) pair; rerunning");
     println!("this bench reproduces each injected fault and recovery exactly.");
 }

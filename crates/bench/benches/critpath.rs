@@ -19,12 +19,13 @@
 //! Run with `--test` for the CI smoke mode (tiny sizes, same assertions,
 //! same artifact).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use apps::splash::{fft, radix};
 use apps::{M4Ctx, M4System};
-use cables_bench::{cluster_for, header, smoke_mode};
+use cables_bench::{cluster_for, header, smoke_mode, write_artifact};
+use obs::json::Value;
+use obs::obj;
 use obs::critpath;
 use svm::Cluster;
 
@@ -74,10 +75,6 @@ fn run_once(w: &Workload, observe: bool, smoke: bool) -> ObsRun {
     }
 }
 
-fn repo_root_path(name: &str) -> String {
-    format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), name)
-}
-
 fn main() {
     let smoke = smoke_mode();
     header(
@@ -97,10 +94,8 @@ fn main() {
         },
     ];
 
-    let mut artifact = String::from("{\n  \"bench\": \"critpath\",\n");
-    let _ = write!(artifact, "  \"smoke\": {smoke},\n  \"kernels\": [");
-
-    for (wi, w) in workloads.iter().enumerate() {
+    let mut kernels = Vec::new();
+    for w in &workloads {
         let off = run_once(w, false, smoke);
         let on = run_once(w, true, smoke);
 
@@ -158,30 +153,23 @@ fn main() {
         );
         println!();
 
-        if wi > 0 {
-            artifact.push(',');
-        }
-        let _ = write!(
-            artifact,
-            "\n    {{\n      \"kernel\": \"{}\",\n      \"procs\": {},\n      \"sim_time_ns\": {},\n      \"events_recorded\": {},\n      \"causal_edges\": {},\n      \"busiest_lane_ns\": {},\n      \"critpath\": ",
-            w.name,
-            w.procs,
-            on.total_ns,
-            on.events.len(),
-            edges,
-            busiest
-        );
-        // The critpath serializer ends with a newline; trim and re-indent
-        // so the wrapper stays readable.
-        artifact.push_str(cp.to_json().trim_end());
-        artifact.push_str("\n    }");
+        kernels.push(obj! {
+            "kernel" => w.name,
+            "procs" => w.procs,
+            "sim_time_ns" => on.total_ns,
+            "events_recorded" => on.events.len(),
+            "causal_edges" => edges,
+            "busiest_lane_ns" => busiest,
+            "critpath" => cp.to_value(),
+        });
     }
 
-    artifact.push_str("\n  ]\n}\n");
-    obs::json::validate(&artifact).expect("critpath artifact JSON is well-formed");
-    let path = repo_root_path("BENCH_critpath.json");
-    std::fs::write(&path, &artifact).expect("write BENCH_critpath.json");
-    println!("critical-path profiles written to BENCH_critpath.json");
+    let artifact = obj! {
+        "bench" => "critpath",
+        "smoke" => smoke,
+        "kernels" => Value::Arr(kernels),
+    };
+    write_artifact("BENCH_critpath.json", &artifact);
     println!("determinism: both kernels produced identical SimTime with the");
     println!("observability layer on and off, and the per-layer critical-path");
     println!("breakdown sums exactly to each run's simulated time.");

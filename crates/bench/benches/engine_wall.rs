@@ -16,13 +16,14 @@
 //! Run with `--test` for the CI smoke mode (tiny sizes, same assertions,
 //! relaxed speedup floor).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use apps::splash::{fft, lu, ocean, radix};
 use apps::{M4Ctx, M4Mode, M4System};
-use cables_bench::{cluster_for, header, smoke_mode};
+use cables_bench::{cluster_for, header, smoke_mode, write_full_size_artifact};
+use obs::json::Value;
+use obs::obj;
 use sim::EngineMode;
 use svm::Cluster;
 
@@ -168,9 +169,7 @@ fn main() {
     );
     println!("{}", "-".repeat(88));
 
-    let mut json = String::from("{\n  \"smoke\": ");
-    let _ = write!(json, "{smoke},\n  \"workloads\": [");
-    let mut first = true;
+    let mut rows = Vec::new();
 
     for mode in [M4Mode::Base, M4Mode::Cables] {
         for w in &workloads {
@@ -242,37 +241,27 @@ fn main() {
                 sync_pct
             );
 
-            let _ = write!(
-                json,
-                "{}\n    {{\"kernel\": \"{}\", \"mode\": \"{}\", \"slow_wall_ms\": {:.3}, \
-                 \"fast_wall_ms\": {:.3}, \"speedup\": {:.2}, \"par_wall_ms\": {:.3}, \
-                 \"par_speedup\": {:.2}, \"sim_time_ns\": {}, \
-                 \"misplaced_pages\": {}, \"touched_pages\": {}, \"tlb_hits\": {}, \
-                 \"tlb_misses\": {}, \"tlb_hit_pct\": {:.2}, \"lockless_advances\": {}, \
-                 \"sync_fast_path\": {}, \"sync_slow_path\": {}, \"context_switches\": {}}}",
-                if first { "" } else { "," },
-                w.name,
-                mode_name,
-                slow.wall_ms,
-                fast.wall_ms,
-                speedup,
-                par.wall_ms,
-                par_speedup,
-                fast.total_ns,
-                fast.misplaced_pages,
-                fast.touched_pages,
-                s.tlb_hits,
-                s.tlb_misses,
-                tlb_pct,
-                s.lockless_advances,
-                s.sync_fast_path,
-                s.sync_slow_path,
-                s.context_switches,
-            );
-            first = false;
+            rows.push(obj! {
+                "kernel" => w.name,
+                "mode" => mode_name,
+                "slow_wall_ms" => Value::fixed(slow.wall_ms, 3),
+                "fast_wall_ms" => Value::fixed(fast.wall_ms, 3),
+                "speedup" => Value::fixed(speedup, 2),
+                "par_wall_ms" => Value::fixed(par.wall_ms, 3),
+                "par_speedup" => Value::fixed(par_speedup, 2),
+                "sim_time_ns" => fast.total_ns,
+                "misplaced_pages" => fast.misplaced_pages,
+                "touched_pages" => fast.touched_pages,
+                "tlb_hits" => s.tlb_hits,
+                "tlb_misses" => s.tlb_misses,
+                "tlb_hit_pct" => Value::fixed(tlb_pct, 2),
+                "lockless_advances" => s.lockless_advances,
+                "sync_fast_path" => s.sync_fast_path,
+                "sync_slow_path" => s.sync_slow_path,
+                "context_switches" => s.context_switches,
+            });
         }
     }
-    json.push_str("\n  ],");
 
     // Eight-node section: the acceptance workload for the parallel engine —
     // 8 nodes x 2 processors (16 worker threads), CableS protocol, fast
@@ -308,8 +297,7 @@ fn main() {
             body: ocean16_body,
         },
     ];
-    let _ = write!(json, "\n  \"eight_node\": [");
-    let mut first = true;
+    let mut eight = Vec::new();
     let mut best: (f64, &str) = (0.0, "");
     for w in &eight_node {
         let seq = run_once(w, M4Mode::Cables, true, smoke, EngineMode::Sequential);
@@ -333,21 +321,17 @@ fn main() {
         if speedup > best.0 {
             best = (speedup, w.name);
         }
-        let _ = write!(
-            json,
-            "{}\n    {{\"kernel\": \"{}\", \"nodes\": 8, \"procs\": {}, \
-             \"seq_wall_ms\": {:.3}, \"par_wall_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"floor\": {floor}, \"sim_time_ns\": {}, \"context_switches\": {}}}",
-            if first { "" } else { "," },
-            w.name,
-            w.procs,
-            seq.wall_ms,
-            par.wall_ms,
-            speedup,
-            seq.total_ns,
-            seq.stats.context_switches,
-        );
-        first = false;
+        eight.push(obj! {
+            "kernel" => w.name,
+            "nodes" => 8u64,
+            "procs" => w.procs,
+            "seq_wall_ms" => Value::fixed(seq.wall_ms, 3),
+            "par_wall_ms" => Value::fixed(par.wall_ms, 3),
+            "speedup" => Value::fixed(speedup, 2),
+            "floor" => floor,
+            "sim_time_ns" => seq.total_ns,
+            "context_switches" => seq.stats.context_switches,
+        });
     }
     // The floor applies to the best kernel: hand-off-bound workloads (LU)
     // are where the green-thread backend pays off; compute-bound kernels
@@ -363,19 +347,15 @@ fn main() {
         best.0,
         best.1
     );
-    json.push_str("\n  ]\n}\n");
+    let json = obj! {
+        "smoke" => smoke,
+        "workloads" => Value::Arr(rows),
+        "eight_node" => Value::Arr(eight),
+    };
 
     println!();
     println!("determinism: every kernel produced identical SimTime, parallel");
     println!("window, misplacement counts and engine counters with the hot");
     println!("path on/off and on the sequential vs parallel engine backend.");
-    if smoke {
-        // Don't clobber the recorded full-size artifact from a CI smoke run.
-        println!("smoke mode: BENCH_hotpath.json not rewritten");
-    } else {
-        // Land the artifact at the repo root regardless of cargo's bench CWD.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-        std::fs::write(path, &json).expect("write BENCH_hotpath.json");
-        println!("results written to BENCH_hotpath.json");
-    }
+    write_full_size_artifact("BENCH_hotpath.json", &json);
 }

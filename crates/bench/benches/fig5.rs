@@ -7,10 +7,10 @@
 //! down — shapes, ratios and the OCEAN failure mode are the reproduction
 //! target.
 
-use std::fmt::Write as _;
-
 use apps::M4Mode;
-use cables_bench::{fmt_ns, header, run_app, smoke_mode, write_artifact, AppId};
+use cables_bench::{fmt_ns, header, run_app, smoke_mode, write_full_size_artifact, AppId};
+use obs::json::Value;
+use obs::obj;
 
 /// NIC region limit applied to the OCEAN runs, scaled to the scaled
 /// problem size the same way the paper's real NIC limit related to its
@@ -43,37 +43,26 @@ fn main() {
         &AppId::ALL
     };
 
-    let mut json = String::from("{\n  \"bench\": \"fig5\",\n  \"apps\": [");
-    for (ai, &app) in apps.iter().enumerate() {
+    let mut app_rows = Vec::new();
+    for &app in apps {
         println!("--- {} [{}] ---", app.name(), app.scale_note());
         let mut head = format!("{:<10}", "system");
         for p in procs_list {
             head.push_str(&format!(" {p:>12}"));
         }
         println!("{head}");
-        let _ = write!(
-            json,
-            "{}\n    {{\"app\": \"{}\", \"runs\": [",
-            if ai > 0 { "," } else { "" },
-            app.name()
-        );
-        let mut first_run = true;
+        let mut runs = Vec::new();
         for mode in [M4Mode::Base, M4Mode::Cables] {
             let mut cells = Vec::new();
             let mut ratios = Vec::new();
             for &procs in procs_list {
                 let limit = (app == AppId::Ocean).then_some(OCEAN_NIC_LIMIT);
                 let out = run_app(mode, app, procs, limit);
-                match (out.error, out.parallel_ns) {
+                let parallel_ns = match (out.error, out.parallel_ns) {
                     (None, Some(ns)) => {
                         cells.push(fmt_ns(ns));
                         ratios.push(Some(ns));
-                        let _ = write!(
-                            json,
-                            "{}\n        {{\"mode\": \"{mode:?}\", \"procs\": {procs}, \
-                             \"parallel_ns\": {ns}, \"failed\": false}}",
-                            if first_run { "" } else { "," }
-                        );
+                        Some(ns)
                     }
                     (err, _) => {
                         cells.push("FAILED".to_string());
@@ -82,15 +71,15 @@ fn main() {
                             let first = e.lines().next().unwrap_or("");
                             println!("    [{mode:?} x{procs}] {first}");
                         }
-                        let _ = write!(
-                            json,
-                            "{}\n        {{\"mode\": \"{mode:?}\", \"procs\": {procs}, \
-                             \"parallel_ns\": null, \"failed\": true}}",
-                            if first_run { "" } else { "," }
-                        );
+                        None
                     }
-                }
-                first_run = false;
+                };
+                runs.push(obj! {
+                    "mode" => format!("{mode:?}"),
+                    "procs" => procs,
+                    "parallel_ns" => parallel_ns,
+                    "failed" => parallel_ns.is_none(),
+                });
             }
             let mut row = format!("{:<10}", format!("{mode:?}"));
             for c in &cells {
@@ -98,20 +87,16 @@ fn main() {
             }
             println!("{row}");
         }
-        json.push_str("\n      ]}");
+        app_rows.push(obj! { "app" => app.name(), "runs" => Value::Arr(runs) });
         // CableS/Base ratio at 32 procs (paper: within 25% for FFT, LU,
         // RAYTRACE, WATER; worse for RADIX and VOLREND; OCEAN base fails).
         println!();
     }
-    json.push_str("\n  ]\n}\n");
+    let json = obj! { "bench" => "fig5", "apps" => Value::Arr(app_rows) };
     println!("paper shape targets:");
     println!("  - FFT/LU/WATER/RAYTRACE: CableS within ~25% of base at 32 procs");
     println!("  - OCEAN: base faster (write-through optimization) but FAILS at 32");
     println!("    procs on registration limits; CableS completes");
     println!("  - RADIX/VOLREND: CableS degraded by 64 KB-granularity placement");
-    if smoke {
-        println!("smoke mode: BENCH_fig5.json not rewritten");
-    } else {
-        write_artifact("BENCH_fig5.json", &json);
-    }
+    write_full_size_artifact("BENCH_fig5.json", &json);
 }

@@ -5,10 +5,10 @@
 //! mapping granularity) differs from the page-granular first-touch home
 //! the original system would have chosen.
 
-use std::fmt::Write as _;
-
 use apps::M4Mode;
-use cables_bench::{header, run_app, smoke_mode, write_artifact, AppId};
+use cables_bench::{header, run_app, smoke_mode, write_full_size_artifact, AppId};
+use obs::json::Value;
+use obs::obj;
 
 fn main() {
     header(
@@ -30,40 +30,29 @@ fn main() {
     }
     println!("{head}");
     println!("{}", "-".repeat(16 + 9 * procs_list.len()));
-    let mut json = String::from("{\n  \"bench\": \"fig6\",\n  \"apps\": [");
-    for (ai, &app) in apps.iter().enumerate() {
+    let mut app_rows = Vec::new();
+    for &app in apps {
         let mut row = format!("{:<15}", app.name());
-        let _ = write!(
-            json,
-            "{}\n    {{\"app\": \"{}\", \"points\": [",
-            if ai > 0 { "," } else { "" },
-            app.name()
-        );
-        for (j, &procs) in procs_list.iter().enumerate() {
+        let mut points = Vec::new();
+        for &procs in procs_list {
             let out = run_app(M4Mode::Cables, app, procs, None);
             assert!(out.error.is_none(), "{}: {:?}", app.name(), out.error);
             let pct = out.placement.misplaced_pct();
             row.push_str(&format!(" {:>8}", format!("{pct:.1}%")));
-            let _ = write!(
-                json,
-                "{}{{\"procs\": {procs}, \"misplaced_pct\": {pct:.3}, \
-                 \"misplaced_pages\": {}, \"touched_pages\": {}}}",
-                if j > 0 { ", " } else { "" },
-                out.placement.misplaced_pages,
-                out.placement.touched_pages
-            );
+            points.push(obj! {
+                "procs" => procs,
+                "misplaced_pct" => Value::fixed(pct, 3),
+                "misplaced_pages" => out.placement.misplaced_pages,
+                "touched_pages" => out.placement.touched_pages,
+            });
         }
-        json.push_str("]}");
+        app_rows.push(obj! { "app" => app.name(), "points" => Value::Arr(points) });
         println!("{row}");
     }
-    json.push_str("\n  ]\n}\n");
+    let json = obj! { "bench" => "fig6", "apps" => Value::Arr(app_rows) };
     println!();
     println!("paper shape: misplacement grows with processor count (finer");
     println!("partitions fall inside single 64 KB chunks); the base system's");
     println!("page-granular first touch misplaces nothing by construction.");
-    if smoke {
-        println!("smoke mode: BENCH_fig6.json not rewritten");
-    } else {
-        write_artifact("BENCH_fig6.json", &json);
-    }
+    write_full_size_artifact("BENCH_fig6.json", &json);
 }

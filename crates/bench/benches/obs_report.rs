@@ -28,7 +28,6 @@
 //! Run with `--test` for the CI smoke mode (tiny sizes, same assertions,
 //! same artifacts).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use apps::splash::{fft, radix};
@@ -37,6 +36,8 @@ use cables_bench::{
     cluster_for, header, smoke_mode, write_artifact, write_aux_artifact, StreamExport,
     StreamExporter,
 };
+use obs::json::Value;
+use obs::obj;
 use obs::series::{self, SeriesSummary};
 use obs::stream::parse_stream;
 use obs::{chrome, report, stall, Layer, MetricsSnapshot};
@@ -108,42 +109,31 @@ fn run_once(
 /// The `BENCH_obs_<kernel>.json` document: run identity, per-layer totals,
 /// the embedded metric snapshot, the per-thread stall profile, the
 /// windowed series, and the top-10 sharing ranking.
-fn artifact_json(
+fn artifact_value(
     w: &Workload,
     smoke: bool,
     run: &ObsRun,
     stall: &stall::StallProfile,
-    series_json: &str,
-    sharing_json: &str,
-) -> String {
-    let mut j = String::from("{\n");
-    let _ = write!(
-        j,
-        "  \"kernel\": \"{}\",\n  \"mode\": \"cables\",\n  \"smoke\": {},\n  \"procs\": {},\n  \"sim_time_ns\": {},\n  \"events_recorded\": {},\n  \"layers_ns\": {{",
-        w.name, smoke, w.procs, run.total_ns, run.events.len()
-    );
-    for (i, l) in Layer::ALL.iter().enumerate() {
-        if i > 0 {
-            j.push_str(", ");
-        }
-        let _ = write!(j, "\"{}\": {}", l.name(), run.snapshot.layer_total_ns(*l));
+    series: Value,
+    sharing: Value,
+) -> Value {
+    let layers_ns: Value = Layer::ALL
+        .iter()
+        .map(|l| (l.name(), run.snapshot.layer_total_ns(*l)))
+        .collect();
+    obj! {
+        "kernel" => w.name,
+        "mode" => "cables",
+        "smoke" => smoke,
+        "procs" => w.procs,
+        "sim_time_ns" => run.total_ns,
+        "events_recorded" => run.events.len(),
+        "layers_ns" => layers_ns,
+        "snapshot" => run.snapshot.to_value(),
+        "stall" => stall.to_value(),
+        "series" => series,
+        "sharing" => sharing,
     }
-    j.push_str("},\n  \"snapshot\": ");
-    // The snapshot serializer ends with a newline; trim it so the wrapper
-    // stays tidy.
-    j.push_str(run.snapshot.to_json().trim_end());
-    j.push_str(",\n  \"stall\": ");
-    j.push_str(stall.to_json().trim_end());
-    j.push_str(",\n  \"series\": ");
-    j.push_str(series_json.trim_end());
-    j.push_str(",\n  \"sharing\": ");
-    j.push_str(sharing_json.trim_end());
-    j.push_str("\n}\n");
-    j
-}
-
-fn repo_root_path(name: &str) -> String {
-    format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), name)
 }
 
 /// One kernel's row in `BENCH_obs_stream.json`.
@@ -242,19 +232,15 @@ fn main() {
             &profile.collapsed(),
         );
 
-        let series_json = format!(
-            "{{\"sample_ns\": {}, \"frames\": {}, \"overflow_merges\": {}, \"windows\": {}}}",
-            summary.sample_ns,
-            summary.frames,
-            summary.overflow_merges,
-            series::window_table_json(&rows)
-        );
+        let series = obj! {
+            "sample_ns" => summary.sample_ns,
+            "frames" => summary.frames,
+            "overflow_merges" => summary.overflow_merges,
+            "windows" => series::window_table_value(&rows),
+        };
         let sharing = obs::sharing::analyze(&on.snapshot, &on.events).top(10);
-        let artifact = artifact_json(w, smoke, &on, &profile, &series_json, &sharing.to_json());
-        obs::json::validate(&artifact).expect("artifact JSON is well-formed");
-        let path = repo_root_path(&format!("BENCH_obs_{}.json", w.name));
-        std::fs::write(&path, &artifact).expect("write BENCH_obs json");
-        println!("layer breakdown written to BENCH_obs_{}.json", w.name);
+        let artifact = artifact_value(w, smoke, &on, &profile, series, sharing.to_value());
+        write_artifact(&format!("BENCH_obs_{}.json", w.name), &artifact);
         stream_rows.push(StreamRow {
             kernel: w.name,
             sample_ns,
@@ -266,12 +252,16 @@ fn main() {
 
         if w.name == "FFT" {
             let trace = chrome::export(&on.events);
-            obs::json::validate(&trace).expect("chrome trace is well-formed");
+            let doc = obs::json::parse(&trace).expect("chrome trace is well-formed");
+            let trace_events = doc.get("traceEvents").and_then(Value::as_arr).unwrap_or_default();
             // 16 processors on 2-way SMP nodes: the timeline must show all
             // eight node processes (per-node tracks in Perfetto).
             for n in 0..8 {
                 assert!(
-                    trace.contains(&format!("\"name\":\"node {n}\"")),
+                    trace_events.iter().any(|e| {
+                        e.get("name").and_then(Value::as_str) == Some("process_name")
+                            && e.get("pid").and_then(Value::as_u64) == Some(n)
+                    }),
                     "FFT trace is missing the node-{n} process"
                 );
             }
@@ -284,20 +274,18 @@ fn main() {
         println!();
     }
 
-    let mut sj = format!(
-        "{{\n  \"bench\": \"obs_stream\",\n  \"smoke\": {smoke},\n  \"kernels\": ["
-    );
-    for (i, r) in stream_rows.iter().enumerate() {
-        if i > 0 {
-            sj.push(',');
+    let kernels = stream_rows.iter().map(|r| {
+        obj! {
+            "kernel" => r.kernel,
+            "sample_ns" => r.sample_ns,
+            "frames" => r.frames,
+            "overflow_merges" => r.overflow_merges,
+            "windows" => r.windows,
+            "fold_exact" => true,
+            "sim_time_ns" => r.sim_time_ns,
         }
-        let _ = write!(
-            sj,
-            "\n    {{\"kernel\": \"{}\", \"sample_ns\": {}, \"frames\": {}, \"overflow_merges\": {}, \"windows\": {}, \"fold_exact\": true, \"sim_time_ns\": {}}}",
-            r.kernel, r.sample_ns, r.frames, r.overflow_merges, r.windows, r.sim_time_ns
-        );
-    }
-    sj.push_str("\n  ]\n}\n");
+    });
+    let sj = obj! { "bench" => "obs_stream", "smoke" => smoke, "kernels" => Value::arr(kernels) };
     write_artifact("BENCH_obs_stream.json", &sj);
 
     println!("determinism: every kernel produced identical SimTime with the");

@@ -31,7 +31,6 @@
 //! Run with `--test` for the CI smoke mode: tiny sizes, same artifact,
 //! same assertions except the end-to-end time comparison.
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex as StdMutex};
 
 use apps::service::{run_service, ServiceParams};
@@ -39,6 +38,8 @@ use apps::splash::{ocean, radix};
 use apps::{M4Ctx, M4System};
 use cables::{CablesConfig, CablesRt};
 use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, write_artifact};
+use obs::json::Value;
+use obs::obj;
 use obs::stall::{self, Bucket};
 use sim::EngineMode;
 use svm::{Cluster, NodeStats, PlacementPolicy, SvmConfig};
@@ -50,23 +51,19 @@ struct Cell {
     stats: NodeStats,
 }
 
-fn cell_json(c: &Cell) -> String {
-    format!(
-        "{{\"sim_time_ns\": {}, \"remote_fetches\": {}, \"diffs_sent\": {}, \
-         \"fetch_bytes\": {}, \"diff_bytes\": {}, \"migrations\": {}, \
-         \"pingpong_handoffs\": {}, \"policy_considered\": {}, \
-         \"policy_migrations\": {}, \"checksum\": {}}}",
-        c.sim_ns,
-        c.stats.remote_fetches,
-        c.stats.diffs_sent,
-        c.stats.fetch_bytes,
-        c.stats.diff_bytes,
-        c.stats.migrations,
-        c.stats.pingpong_handoffs,
-        c.stats.policy_considered,
-        c.stats.policy_migrations,
-        c.checksum
-    )
+fn cell_value(c: &Cell) -> Value {
+    obj! {
+        "sim_time_ns" => c.sim_ns,
+        "remote_fetches" => c.stats.remote_fetches,
+        "diffs_sent" => c.stats.diffs_sent,
+        "fetch_bytes" => c.stats.fetch_bytes,
+        "diff_bytes" => c.stats.diff_bytes,
+        "migrations" => c.stats.migrations,
+        "pingpong_handoffs" => c.stats.pingpong_handoffs,
+        "policy_considered" => c.stats.policy_considered,
+        "policy_migrations" => c.stats.policy_migrations,
+        "checksum" => c.checksum,
+    }
 }
 
 /// Both cells model a warm long-running deployment: the node set is
@@ -227,8 +224,7 @@ fn main() {
         "extension; the paper provides migration mechanisms but no policy (§2.1.3)",
     );
 
-    let mut artifact = String::from("{\n  \"bench\": \"placement\",\n");
-    let _ = write!(artifact, "  \"smoke\": {smoke},\n  \"workloads\": [");
+    let mut workloads = Vec::new();
 
     println!(
         "{:<14} {:>6} {:>13} {:>13} {:>11} {:>11} {:>9} {:>9}",
@@ -255,7 +251,7 @@ fn main() {
         ]
     };
 
-    for (wi, (name, off, on)) in cells.iter().enumerate() {
+    for (name, off, on) in &cells {
         for (cell_name, c) in [("off", off), ("on", on)] {
             println!(
                 "{:<14} {:>6} {:>13} {:>13} {:>11} {:>11} {:>9} {:>9}",
@@ -298,15 +294,12 @@ fn main() {
             fmt_ns(on.sim_ns)
         );
 
-        if wi > 0 {
-            artifact.push(',');
-        }
-        let _ = write!(
-            artifact,
-            "\n    {{\n      \"workload\": \"{name}\",\n      \"off\": {},\n      \"on\": {},\n      \"identical_results\": true\n    }}",
-            cell_json(off),
-            cell_json(on)
-        );
+        workloads.push(obj! {
+            "workload" => *name,
+            "off" => cell_value(off),
+            "on" => cell_value(on),
+            "identical_results" => true,
+        });
     }
 
     assert!(
@@ -327,12 +320,9 @@ fn main() {
         "{:<28} {:>13} {:>9} {:>10} {:>9} {:>14}",
         "grid cell (OCEAN)", "sim time", "migr", "pf issued", "pf hits", "pf_masked ns"
     );
-    artifact.push_str("\n  ],\n  \"migration_prefetch_grid\": [");
+    let mut grid = Vec::new();
     let mut grid_cells = Vec::new();
-    for (gi, (migration, prefetch)) in [(false, false), (false, true), (true, false), (true, true)]
-        .into_iter()
-        .enumerate()
-    {
+    for (migration, prefetch) in [(false, false), (false, true), (true, false), (true, true)] {
         let (c, masked_ns) = run_grid_cell(smoke, migration, prefetch);
         println!(
             "{:<28} {:>13} {:>9} {:>10} {:>9} {:>14}",
@@ -343,21 +333,16 @@ fn main() {
             c.stats.prefetch_hits,
             masked_ns
         );
-        if gi > 0 {
-            artifact.push(',');
-        }
-        let _ = write!(
-            artifact,
-            "\n    {{\"migration\": {migration}, \"prefetch\": {prefetch}, \
-             \"sim_time_ns\": {}, \"migrations\": {}, \"prefetch_issued\": {}, \
-             \"prefetch_hits\": {}, \"prefetch_masked_ns\": {}, \"checksum\": {}}}",
-            c.sim_ns,
-            c.stats.migrations,
-            c.stats.prefetch_issued,
-            c.stats.prefetch_hits,
-            masked_ns,
-            c.checksum
-        );
+        grid.push(obj! {
+            "migration" => migration,
+            "prefetch" => prefetch,
+            "sim_time_ns" => c.sim_ns,
+            "migrations" => c.stats.migrations,
+            "prefetch_issued" => c.stats.prefetch_issued,
+            "prefetch_hits" => c.stats.prefetch_hits,
+            "prefetch_masked_ns" => masked_ns,
+            "checksum" => c.checksum,
+        });
         grid_cells.push((migration, prefetch, c, masked_ns));
     }
     // All four grid cells compute identical bits.
@@ -374,6 +359,11 @@ fn main() {
          {migr_with_pf} with it\n(prefetch_masked_ns per cell quantifies the masking)."
     );
 
-    artifact.push_str("\n  ]\n}\n");
+    let artifact = obj! {
+        "bench" => "placement",
+        "smoke" => smoke,
+        "workloads" => Value::Arr(workloads),
+        "migration_prefetch_grid" => Value::Arr(grid),
+    };
     write_artifact("BENCH_placement.json", &artifact);
 }

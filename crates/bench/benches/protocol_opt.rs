@@ -28,14 +28,15 @@
 //! same assertions except the end-to-end time comparison (µs-scale
 //! noise at smoke sizes).
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use apps::splash::{fft, radix};
 use apps::{M4Ctx, M4System};
 use cables::CablesConfig;
-use cables_bench::{cluster_for, fmt_ns, header, smoke_mode};
+use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, write_artifact};
 use obs::critpath;
+use obs::json::Value;
+use obs::obj;
 use sim::EngineMode;
 use svm::{Cluster, NodeStats, SvmConfig};
 
@@ -113,10 +114,10 @@ fn run_point(w: &Workload, toggles: (bool, bool), observe: bool, smoke: bool) ->
     }
 }
 
-/// Returns the blame JSON plus the diff lane's share of the critical
+/// Returns the blame report plus the diff lane's share of the critical
 /// path (`proto.release` by-kind blame: time the path spent building and
 /// fencing release diffs).
-fn critpath_json(events: &[obs::EventRecord], total_ns: u64, dropped: u64) -> (String, u64) {
+fn critpath_blame(events: &[obs::EventRecord], total_ns: u64, dropped: u64) -> (Value, u64) {
     let cp = critpath::analyze(events, total_ns, dropped).expect("critical-path analysis");
     assert_eq!(cp.layer_sum_ns(), total_ns, "critpath must partition the run");
     let release_ns = cp
@@ -124,11 +125,7 @@ fn critpath_json(events: &[obs::EventRecord], total_ns: u64, dropped: u64) -> (S
         .iter()
         .find(|(k, _)| k == "proto.release")
         .map_or(0, |(_, v)| *v);
-    (cp.to_json().trim_end().to_string(), release_ns)
-}
-
-fn repo_root_path(name: &str) -> String {
-    format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), name)
+    (cp.to_value(), release_ns)
 }
 
 fn main() {
@@ -159,10 +156,8 @@ fn main() {
     // Grid order: (batch_diffs, prefetch).
     let grid = [(false, false), (true, false), (false, true), (true, true)];
 
-    let mut artifact = String::from("{\n  \"bench\": \"protocol_opt\",\n");
-    let _ = write!(artifact, "  \"smoke\": {smoke},\n  \"kernels\": [");
-
-    for (wi, w) in workloads.iter().enumerate() {
+    let mut kernels = Vec::new();
+    for w in &workloads {
         println!("--- {} ({} procs, {} nodes) ---", w.name, w.procs, w.procs / 2);
         println!(
             "{:<22} {:>12} {:>14} {:>11} {:>10} {:>9}",
@@ -274,8 +269,9 @@ fn main() {
         );
         assert_eq!(off_obs.dropped, 0, "{}: obs overflow (all-off)", w.name);
         assert_eq!(on_obs.dropped, 0, "{}: obs overflow (all-on)", w.name);
-        let (cp_off, release_off) = critpath_json(&off_obs.events, off_obs.total_ns, off_obs.dropped);
-        let (cp_on, release_on) = critpath_json(&on_obs.events, on_obs.total_ns, on_obs.dropped);
+        let (cp_off, release_off) =
+            critpath_blame(&off_obs.events, off_obs.total_ns, off_obs.dropped);
+        let (cp_on, release_on) = critpath_blame(&on_obs.events, on_obs.total_ns, on_obs.dropped);
         // The blame table must show the diff lane shrinking: batching
         // collapses the per-page release fence the path used to wait on.
         if !smoke {
@@ -288,50 +284,38 @@ fn main() {
             );
         }
 
-        if wi > 0 {
-            artifact.push(',');
-        }
-        let _ = write!(
-            artifact,
-            "\n    {{\n      \"kernel\": \"{}\",\n      \"procs\": {},\n      \"grid\": [",
-            w.name, w.procs
-        );
-        for (pi, ((b, p), r)) in points.iter().enumerate() {
-            if pi > 0 {
-                artifact.push(',');
+        let grid_rows = points.iter().map(|((b, p), r)| {
+            obj! {
+                "batch_diffs" => *b,
+                "prefetch" => *p,
+                "sim_time_ns" => r.total_ns,
+                "remote_fetches" => r.stats.remote_fetches,
+                "fetch_bytes" => r.stats.fetch_bytes,
+                "diffs_sent" => r.stats.diffs_sent,
+                "diff_bytes" => r.stats.diff_bytes,
+                "diff_batches" => r.stats.diff_batches,
+                "batched_diff_bytes" => r.stats.batched_diff_bytes,
+                "prefetch_issued" => r.stats.prefetch_issued,
+                "prefetch_hits" => r.stats.prefetch_hits,
+                "prefetch_wasted" => r.stats.prefetch_wasted,
+                "checksum" => r.checksum,
             }
-            let _ = write!(
-                artifact,
-                "\n        {{\"batch_diffs\": {b}, \"prefetch\": {p}, \
-                 \"sim_time_ns\": {}, \"remote_fetches\": {}, \"fetch_bytes\": {}, \
-                 \"diffs_sent\": {}, \"diff_bytes\": {}, \"diff_batches\": {}, \
-                 \"batched_diff_bytes\": {}, \"prefetch_issued\": {}, \"prefetch_hits\": {}, \
-                 \"prefetch_wasted\": {}, \"checksum\": {}}}",
-                r.total_ns,
-                r.stats.remote_fetches,
-                r.stats.fetch_bytes,
-                r.stats.diffs_sent,
-                r.stats.diff_bytes,
-                r.stats.diff_batches,
-                r.stats.batched_diff_bytes,
-                r.stats.prefetch_issued,
-                r.stats.prefetch_hits,
-                r.stats.prefetch_wasted,
-                r.checksum
-            );
-        }
-        artifact.push_str("\n      ],\n      \"critpath_all_off\": ");
-        artifact.push_str(&cp_off);
-        artifact.push_str(",\n      \"critpath_all_on\": ");
-        artifact.push_str(&cp_on);
-        artifact.push_str("\n    }");
+        });
+        kernels.push(obj! {
+            "kernel" => w.name,
+            "procs" => w.procs,
+            "grid" => Value::arr(grid_rows),
+            "critpath_all_off" => cp_off,
+            "critpath_all_on" => cp_on,
+        });
     }
 
-    artifact.push_str("\n  ]\n}\n");
-    obs::json::validate(&artifact).expect("protocol_opt artifact JSON is well-formed");
-    let path = repo_root_path("BENCH_protocol.json");
-    std::fs::write(&path, &artifact).expect("write BENCH_protocol.json");
-    println!("ablation grid written to BENCH_protocol.json");
+    let artifact = obj! {
+        "bench" => "protocol_opt",
+        "smoke" => smoke,
+        "kernels" => Value::Arr(kernels),
+    };
+    write_artifact("BENCH_protocol.json", &artifact);
     println!("determinism: all 4 grid points produced bit-identical application");
     println!("results per kernel, and the all-on corner beat all-off on remote");
     if smoke {

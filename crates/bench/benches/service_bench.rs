@@ -21,13 +21,14 @@
 //! Run with `--test` for the CI smoke mode (fewer requests, same
 //! assertions, same artifact).
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex as StdMutex};
 
 use apps::service::{run_service, ServiceOutcome, ServiceParams};
 use cables::{CablesConfig, CablesRt};
-use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, StreamExporter};
+use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, write_artifact, StreamExporter};
 use chaos::{ChaosEngine, FaultPlan};
+use obs::json::Value;
+use obs::obj;
 use obs::series;
 use obs::stream::parse_stream;
 use obs::Layer;
@@ -113,32 +114,25 @@ fn throughput_rps(requests: u32, serve_ns: u64) -> f64 {
     requests as f64 / (serve_ns.max(1) as f64 / 1e9)
 }
 
-fn cell_json(
-    pattern: &str,
-    driver: &str,
-    nodes: usize,
-    sched: &Schedule,
-    c: &CellOut,
-) -> String {
-    format!(
-        "{{\"pattern\": \"{pattern}\", \"driver\": \"{driver}\", \"nodes\": {nodes}, \
-         \"requests\": {}, \"schedule_fingerprint\": {}, \"sim_time_ns\": {}, \
-         \"serve_ns\": {}, \"throughput_rps\": {:.1}, \"p50_ns\": {}, \"p95_ns\": {}, \
-         \"p99_ns\": {}, \"served\": {}, \"direct_served\": {}, \"retries\": {}, \
-         \"digest\": {}}}",
-        sched.requests.len(),
-        sched.fingerprint(),
-        c.sim_ns,
-        c.outcome.serve_ns,
-        throughput_rps(sched.requests.len() as u32, c.outcome.serve_ns),
-        c.p[0],
-        c.p[1],
-        c.p[2],
-        c.outcome.served,
-        c.outcome.direct_served,
-        c.outcome.retries,
-        c.outcome.digest,
-    )
+fn cell_value(pattern: &str, driver: &str, nodes: usize, sched: &Schedule, c: &CellOut) -> Value {
+    let rps = throughput_rps(sched.requests.len() as u32, c.outcome.serve_ns);
+    obj! {
+        "pattern" => pattern,
+        "driver" => driver,
+        "nodes" => nodes,
+        "requests" => sched.requests.len(),
+        "schedule_fingerprint" => sched.fingerprint(),
+        "sim_time_ns" => c.sim_ns,
+        "serve_ns" => c.outcome.serve_ns,
+        "throughput_rps" => Value::fixed(rps, 1),
+        "p50_ns" => c.p[0],
+        "p95_ns" => c.p[1],
+        "p99_ns" => c.p[2],
+        "served" => c.outcome.served,
+        "direct_served" => c.outcome.direct_served,
+        "retries" => c.outcome.retries,
+        "digest" => c.outcome.digest,
+    }
 }
 
 fn main() {
@@ -160,9 +154,7 @@ fn main() {
     // 2-way SMP nodes: 4 procs = 2 nodes, 8 procs = 4 nodes.
     let node_counts = [2usize, 4usize];
 
-    let mut artifact = String::from("{\n  \"bench\": \"service\",\n");
-    let _ = write!(artifact, "  \"smoke\": {smoke},\n  \"cells\": [");
-    let mut first = true;
+    let mut cells = Vec::new();
 
     println!(
         "{:<10} {:<7} {:>5} {:>6} {:>12} {:>10} {:>10} {:>10}",
@@ -195,11 +187,7 @@ fn main() {
                 fmt_ns(c.p[1]),
                 fmt_ns(c.p[2]),
             );
-            if !first {
-                artifact.push(',');
-            }
-            first = false;
-            let _ = write!(artifact, "\n    {}", cell_json(name, "open", nodes, sched, &c));
+            cells.push(cell_value(name, "open", nodes, sched, &c));
         }
     }
     // One closed-loop cell: clients block on their response condvars, so
@@ -220,10 +208,8 @@ fn main() {
             fmt_ns(c.p[1]),
             fmt_ns(c.p[2]),
         );
-        artifact.push(',');
-        let _ = write!(artifact, "\n    {}", cell_json("zipfian", "closed", 4, &closed, &c));
+        cells.push(cell_value("zipfian", "closed", 4, &closed, &c));
     }
-    artifact.push_str("\n  ],\n");
 
     // ---- Replay: the same config must reproduce bit-identically ----
     let (rname, rsched) = &patterns[0];
@@ -238,12 +224,12 @@ fn main() {
         a.outcome.digest,
         fmt_ns(a.sim_ns)
     );
-    let _ = write!(
-        artifact,
-        "  \"replay\": {{\"pattern\": \"{rname}\", \"nodes\": 4, \"identical\": true, \
-         \"digest\": {}}},\n",
-        a.outcome.digest
-    );
+    let replay = obj! {
+        "pattern" => *rname,
+        "nodes" => 4u64,
+        "identical" => true,
+        "digest" => a.outcome.digest,
+    };
 
     // ---- Chaos: node crash mid-serving, live stream running ----
     // Calibrate the crash instant from a clean reference: mid-way through
@@ -299,28 +285,29 @@ fn main() {
     );
     print!("{}", obs::report::window_table(&c.windows));
     println!("live series -> target/artifacts/stream_service.ndjson");
-    let _ = write!(
-        artifact,
-        "  \"chaos\": {{\"crash_node\": {CRASH_NODE}, \"crash_at_ns\": {crash_at}, \
-         \"requests\": {}, \"served\": {}, \"direct_served\": {}, \"retries\": {}, \
-         \"nodes_detached\": {}, \"post_crash_window_completions\": {post}, \
-         \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
-         \"stream\": \"target/artifacts/stream_service.ndjson\"}}\n",
-        chaos_sched.requests.len(),
-        c.outcome.served,
-        c.outcome.direct_served,
-        c.outcome.retries,
-        c.nodes_detached,
-        c.p[0],
-        c.p[1],
-        c.p[2],
-    );
+    let chaos = obj! {
+        "crash_node" => CRASH_NODE,
+        "crash_at_ns" => crash_at,
+        "requests" => chaos_sched.requests.len(),
+        "served" => c.outcome.served,
+        "direct_served" => c.outcome.direct_served,
+        "retries" => c.outcome.retries,
+        "nodes_detached" => c.nodes_detached,
+        "post_crash_window_completions" => post,
+        "p50_ns" => c.p[0],
+        "p95_ns" => c.p[1],
+        "p99_ns" => c.p[2],
+        "stream" => "target/artifacts/stream_service.ndjson",
+    };
 
-    artifact.push_str("}\n");
-    obs::json::validate(&artifact).expect("service artifact JSON is well-formed");
-    let path = format!("{}/../../BENCH_service.json", env!("CARGO_MANIFEST_DIR"));
-    std::fs::write(&path, &artifact).expect("write BENCH_service.json");
-    println!("\nservice sweep written to BENCH_service.json");
+    let artifact = obj! {
+        "bench" => "service",
+        "smoke" => smoke,
+        "cells" => Value::Arr(cells),
+        "replay" => replay,
+        "chaos" => chaos,
+    };
+    write_artifact("BENCH_service.json", &artifact);
     println!("determinism: every cell is a pure function of (TrafficConfig, params);");
     println!("rerunning this bench reproduces every digest and percentile exactly.");
 }

@@ -4,9 +4,10 @@
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use std::fmt::Write as _;
 
 use cables_bench::{header, write_artifact};
+use obs::json::Value;
+use obs::obj;
 use memsim::{ClusterMem, OsVmConfig, PAGE_SIZE};
 use san::{San, SanConfig};
 use sim::{Engine, SimTime};
@@ -130,18 +131,14 @@ fn main() {
     }
     println!();
 
-    let mut json = String::from("{\n  \"bench\": \"table3\",\n  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}\n    {{\"op\": \"{}\", \"paper\": \"{}\", \"value\": {:.3}, \"unit\": \"{}\"}}",
-            if i > 0 { "," } else { "" },
-            r.op,
-            r.paper,
-            r.value,
-            r.unit
-        );
-    }
-    json.push_str("\n  ]\n}\n");
+    let rows = rows.iter().map(|r| {
+        obj! {
+            "op" => r.op,
+            "paper" => r.paper,
+            "value" => Value::fixed(r.value, 3),
+            "unit" => r.unit,
+        }
+    });
+    let json = obj! { "bench" => "table3", "rows" => Value::arr(rows) };
     write_artifact("BENCH_table3.json", &json);
 }

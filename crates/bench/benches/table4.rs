@@ -5,10 +5,11 @@
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use std::fmt::Write as _;
 
 use cables::{CablesConfig, CablesRt, MutexCondBarrier};
 use cables_bench::{header, write_artifact};
+use obs::json::Value;
+use obs::obj;
 use svm::{Cluster, ClusterConfig};
 
 #[derive(Clone)]
@@ -412,17 +413,9 @@ fn main() {
     println!("note: measured values come from the simulated cluster's cost model;");
     println!("      the reproduction targets the paper's magnitudes and ratios.");
 
-    let mut json = String::from("{\n  \"bench\": \"table4\",\n  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}\n    {{\"mechanism\": \"{}\", \"paper\": \"{}\", \"measured_ns\": {}}}",
-            if i > 0 { "," } else { "" },
-            r.mechanism,
-            r.paper,
-            r.measured_ns
-        );
-    }
-    json.push_str("\n  ]\n}\n");
+    let rows = rows.iter().map(|r| {
+        obj! { "mechanism" => r.mechanism, "paper" => r.paper, "measured_ns" => r.measured_ns }
+    });
+    let json = obj! { "bench" => "table4", "rows" => Value::arr(rows) };
     write_artifact("BENCH_table4.json", &json);
 }

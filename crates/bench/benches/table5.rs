@@ -3,11 +3,12 @@
 //! operations during the run (including contention and wait time, as in
 //! the paper).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cables::{CablesConfig, CablesRt, OpKind, OpTimes, RtStats};
 use cables_bench::{header, write_artifact};
+use obs::json::Value;
+use obs::obj;
 use omp::Omp;
 use svm::{Cluster, ClusterConfig};
 
@@ -182,39 +183,31 @@ fn main() {
     println!("  (paper: remote operations about three orders of magnitude above local;");
     println!("   create averages are ms-scale because they amortize node attaches)");
 
-    let mut json = String::from("{\n  \"bench\": \"table5\",\n  \"programs\": [");
-    let avg = |ops: &OpTimes, k: OpKind| -> String {
-        match ops.avg_ns(k) {
-            None => "null".to_string(),
-            Some(ns) => ns.to_string(),
+    let rows = programs.iter().map(|p| {
+        let count = |k| p.ops.count(k);
+        let avg = |k| p.ops.avg_ns(k);
+        obj! {
+            "program" => p.name,
+            "calls" => obj! {
+                "create" => count(OpKind::Create),
+                "join" => count(OpKind::Join),
+                "lock" => count(OpKind::MutexLock),
+                "wait" => count(OpKind::CondWait),
+                "signal" => count(OpKind::CondSignal),
+                "broadcast" => count(OpKind::CondBroadcast),
+                "barrier" => count(OpKind::Barrier),
+                "cancel" => p.stats.cancels,
+            },
+            "avg_ns" => obj! {
+                "create" => avg(OpKind::Create),
+                "lock" => avg(OpKind::MutexLock),
+                "unlock" => avg(OpKind::MutexUnlock),
+                "cond_wait" => avg(OpKind::CondWait),
+                "signal" => avg(OpKind::CondSignal),
+                "broadcast" => avg(OpKind::CondBroadcast),
+            },
         }
-    };
-    for (i, p) in programs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}\n    {{\"program\": \"{}\", \
-             \"calls\": {{\"create\": {}, \"join\": {}, \"lock\": {}, \"wait\": {}, \
-             \"signal\": {}, \"broadcast\": {}, \"barrier\": {}, \"cancel\": {}}}, \
-             \"avg_ns\": {{\"create\": {}, \"lock\": {}, \"unlock\": {}, \"cond_wait\": {}, \
-             \"signal\": {}, \"broadcast\": {}}}}}",
-            if i > 0 { "," } else { "" },
-            p.name,
-            p.ops.count(OpKind::Create),
-            p.ops.count(OpKind::Join),
-            p.ops.count(OpKind::MutexLock),
-            p.ops.count(OpKind::CondWait),
-            p.ops.count(OpKind::CondSignal),
-            p.ops.count(OpKind::CondBroadcast),
-            p.ops.count(OpKind::Barrier),
-            p.stats.cancels,
-            avg(&p.ops, OpKind::Create),
-            avg(&p.ops, OpKind::MutexLock),
-            avg(&p.ops, OpKind::MutexUnlock),
-            avg(&p.ops, OpKind::CondWait),
-            avg(&p.ops, OpKind::CondSignal),
-            avg(&p.ops, OpKind::CondBroadcast),
-        );
-    }
-    json.push_str("\n  ]\n}\n");
+    });
+    let json = obj! { "bench" => "table5", "programs" => Value::arr(rows) };
     write_artifact("BENCH_table5.json", &json);
 }

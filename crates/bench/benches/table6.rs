@@ -6,12 +6,13 @@
 //! warmed up first (thread creation and node attach are the paper's
 //! initialization overhead, reported separately in Table 4).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
 use cables::{CablesConfig, CablesRt};
-use cables_bench::{header, smoke_mode, write_artifact};
+use cables_bench::{header, smoke_mode, write_full_size_artifact};
+use obs::json::Value;
+use obs::obj;
 use omp::Omp;
 use svm::{Cluster, ClusterConfig};
 
@@ -108,21 +109,15 @@ fn main() {
         &[Program::Fft, Program::Lu, Program::Ocean]
     };
     let procs_list: &[usize] = if smoke { &[4] } else { &[4, 8, 16] };
-    let mut json = String::from("{\n  \"bench\": \"table6\",\n  \"programs\": [");
-    for (pi, program) in programs.iter().enumerate() {
+    let mut program_rows = Vec::new();
+    for program in programs {
         let prow = paper
             .iter()
             .find(|(n, _)| *n == program.name())
             .expect("paper row");
         let t1 = run_one(*program, 1) as f64;
         let mut row = format!("{:<10}", program.name());
-        let _ = write!(
-            json,
-            "{}\n    {{\"program\": \"{}\", \"t1_ns\": {}, \"points\": [",
-            if pi > 0 { "," } else { "" },
-            program.name(),
-            t1 as u64
-        );
+        let mut points = Vec::new();
         for (j, procs) in procs_list.iter().enumerate() {
             let tp = run_one(*program, *procs) as f64;
             let speedup = t1 / tp;
@@ -130,25 +125,23 @@ fn main() {
                 " {:>16}",
                 format!("{speedup:>5.2} ({:>5.2})", prow.1[j])
             ));
-            let _ = write!(
-                json,
-                "{}{{\"procs\": {procs}, \"tp_ns\": {}, \"speedup\": {speedup:.3}, \
-                 \"paper_speedup\": {}}}",
-                if j > 0 { ", " } else { "" },
-                tp as u64,
-                prow.1[j]
-            );
+            points.push(obj! {
+                "procs" => *procs,
+                "tp_ns" => tp as u64,
+                "speedup" => Value::fixed(speedup, 3),
+                "paper_speedup" => prow.1[j],
+            });
         }
-        json.push_str("]}");
+        program_rows.push(obj! {
+            "program" => program.name(),
+            "t1_ns" => t1 as u64,
+            "points" => Value::Arr(points),
+        });
         println!("{row}");
     }
-    json.push_str("\n  ]\n}\n");
+    let json = obj! { "bench" => "table6", "programs" => Value::Arr(program_rows) };
     println!();
     println!("shape targets: modest speedups throughout; LU scales best, OCEAN worst");
     println!("(OpenMP-for-SMP programs are master-initialized, so placement is poor).");
-    if smoke {
-        println!("smoke mode: BENCH_table6.json not rewritten");
-    } else {
-        write_artifact("BENCH_table6.json", &json);
-    }
+    write_full_size_artifact("BENCH_table6.json", &json);
 }

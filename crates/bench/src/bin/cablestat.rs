@@ -10,6 +10,8 @@
 //!     --rel PCT     relative significance floor, percent (default 0)
 //!     --all         print every changed leaf, not just significant ones
 //!     --gate        exit 1 when any regression survives the thresholds
+//!                   (a changed checksum/digest/fingerprint always
+//!                   does) or a path of A is missing from B
 //!     --json        emit the delta as JSON instead of a table
 //! cablestat explain A B [OPTS]    root-cause a failing diff: join each
 //!                                 regressed metric against stall-bucket,
@@ -56,7 +58,8 @@ use std::process::ExitCode;
 
 use obs::diff::{diff, Thresholds};
 use obs::explain::explain_diff;
-use obs::json::{line_col, parse, validate, Value};
+use obs::json::{line_col, parse, Value};
+use obs::obj;
 use obs::series::windowed_table;
 use obs::stream::{parse_stream, Stream};
 use obs::{report, MetricsSnapshot};
@@ -135,12 +138,11 @@ fn warn_if_stale(path: &Path) {
     }
 }
 
-/// Reads + validates + parses one artifact; parse errors are reported as
+/// Reads + parses one artifact; parse errors are reported as
 /// `path:line:col`.
 fn load(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     warn_if_stale(path);
-    validate(&text).map_err(|e| located(path, &text, &e))?;
     parse(&text).map_err(|e| located(path, &text, &e))
 }
 
@@ -383,18 +385,21 @@ fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
     };
     let d = diff(&a, &b, &th);
     if as_json {
-        print!("{}", d.to_json());
+        print!("{}", d.to_value().to_pretty());
     } else {
         print!(
             "{}",
             d.render(&format!("{} -> {}", a_path.display(), b_path.display()), all)
         );
     }
-    let regressions = d.regressions().count();
-    if gate && regressions > 0 {
+    if gate && d.fails_gate() {
         eprintln!(
-            "cablestat: GATE FAILED — {regressions} regression(s) beyond abs>{} rel>{}%",
-            th.abs, th.rel_pct
+            "cablestat: GATE FAILED — {} regression(s) beyond abs>{} rel>{}%, \
+             {} baseline path(s) missing",
+            d.regressions().count(),
+            th.abs,
+            th.rel_pct,
+            d.removed.len()
         );
         return ExitCode::FAILURE;
     }
@@ -473,7 +478,7 @@ fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
         top,
     );
     if as_json {
-        print!("{}", e.to_json());
+        print!("{}", e.to_value().to_pretty());
     } else {
         print!(
             "{}",
@@ -612,15 +617,14 @@ fn cmd_series(args: &[String], dir: &str) -> ExitCode {
         None => true,
     };
     if as_json {
-        let rows = windowed_table(&s.frames);
-        println!(
-            "{{\n  \"kernel\": \"{}\",\n  \"sample_ns\": {},\n  \"frames\": {},\n  \"fold_exact\": {},\n  \"windows\": {}\n}}",
-            s.header.kernel,
-            s.header.sample_ns,
-            s.frames.len(),
-            fold_ok,
-            obs::series::window_table_json(&rows)
-        );
+        let table = obj! {
+            "kernel" => &s.header.kernel,
+            "sample_ns" => s.header.sample_ns,
+            "frames" => s.frames.len(),
+            "fold_exact" => fold_ok,
+            "windows" => obs::series::window_table_value(&windowed_table(&s.frames)),
+        };
+        print!("{}", table.to_pretty());
     } else {
         println!(
             "stream {} (kernel {}, sample {}ns)",
@@ -684,8 +688,12 @@ fn inflate(v: &mut Value, key: &str, factor: f64) -> u64 {
             let mut n = 0;
             for (k, sub) in kvs {
                 if k == key {
-                    if let Value::Num(x) = sub {
-                        *x = (*x * factor).round();
+                    if let Some(x) = sub.as_f64() {
+                        let y = (x * factor).round();
+                        *sub = match sub {
+                            Value::Int(_) if y.is_finite() => Value::Int(y as i128),
+                            _ => Value::Num(y),
+                        };
                         n += 1;
                         continue;
                     }
@@ -721,7 +729,7 @@ fn cmd_inflate(args: &[String], dir: &str) -> ExitCode {
         eprintln!("cablestat inflate: no numeric leaf named `{key}` in {}", src.display());
         return ExitCode::FAILURE;
     }
-    if let Err(e) = std::fs::write(dst, v.to_json()) {
+    if let Err(e) = std::fs::write(dst, v.to_pretty()) {
         eprintln!("cablestat: write {dst}: {e}");
         return ExitCode::FAILURE;
     }

@@ -376,15 +376,25 @@ where
     (end, r)
 }
 
-/// Validates a JSON artifact and lands it at the repo root (where
-/// `scripts/report.sh` collects the cross-PR summary), regardless of
-/// cargo's bench working directory.
-pub fn write_artifact(name: &str, json: &str) {
-    obs::json::validate(json)
-        .unwrap_or_else(|e| panic!("{name}: malformed artifact JSON: {e:?}"));
-    let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), name);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {name}: {e}"));
+/// Writes a `BENCH_*.json` artifact, pretty-printed, at the repo root
+/// (where `scripts/report.sh` collects the cross-PR summary), regardless
+/// of cargo's bench working directory. The one way a bench writes one.
+pub fn write_artifact(name: &str, artifact: &obs::json::Value) {
+    let path = format!("{}/{name}", repo_root());
+    std::fs::write(&path, artifact.to_pretty()).unwrap_or_else(|e| panic!("write {name}: {e}"));
     println!("results written to {name}");
+}
+
+/// Writes an artifact that only a full-size run may land at the repo
+/// root (the paper's tables and figures, the host-time bench): a smoke
+/// run writes it under `target/artifacts/` instead, so the committed
+/// full-size file survives and the writer still runs in CI.
+pub fn write_full_size_artifact(name: &str, artifact: &obs::json::Value) {
+    if smoke_mode() {
+        write_aux_artifact(name, &artifact.to_pretty());
+    } else {
+        write_artifact(name, artifact);
+    }
 }
 
 /// The repository root (two levels up from this crate's manifest).

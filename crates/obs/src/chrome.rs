@@ -5,19 +5,20 @@
 //! (complete) events with a duration; instants become `"i"` events with
 //! thread scope; causal edges become Perfetto *flow* pairs (`"s"` at the
 //! cause, `"f"` at the effect) so arrows connect the lanes in the
-//! timeline. Timestamps are simulated microseconds with nanosecond
-//! precision, formatted as exact decimals (never floats), so identical
-//! runs export byte-identical files (flow ids are assigned sequentially
-//! in recording order).
+//! timeline. Timestamps are simulated microseconds (nanoseconds / 1000).
+//! Identical runs export byte-identical files (flow ids are assigned
+//! sequentially in recording order); the document is written in the
+//! compact layout.
 
 use std::collections::BTreeSet;
-use std::fmt::Write;
 
 use crate::event::{Event, EventRecord, NIC_TRACK};
+use crate::json::Value;
+use crate::obj;
 
-/// Formats nanoseconds as fixed-point microseconds ("12.345").
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Nanoseconds as microseconds (`7_800` → `7.8`).
+fn us(ns: u64) -> Value {
+    Value::Num(ns as f64 / 1_000.0)
 }
 
 fn track_label(track: u64) -> String {
@@ -43,86 +44,74 @@ pub fn export(events: &[EventRecord]) -> String {
             tracks.insert((src_node, src_track));
         }
     }
-    let mut j = String::with_capacity(256 + events.len() * 96);
-    j.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |j: &mut String| {
-        if first {
-            first = false;
-        } else {
-            j.push(',');
-        }
-        j.push('\n');
-    };
-    for n in &nodes {
-        sep(&mut j);
-        let _ = write!(
-            j,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{n},\"tid\":0,\"args\":{{\"name\":\"node {n}\"}}}}"
-        );
+    let mut trace = Vec::with_capacity(nodes.len() + tracks.len() + events.len());
+    for &n in &nodes {
+        trace.push(obj! {
+            "name" => "process_name",
+            "ph" => "M",
+            "pid" => n,
+            "tid" => 0u64,
+            "args" => obj! { "name" => format!("node {n}") },
+        });
     }
-    for (n, t) in &tracks {
-        sep(&mut j);
-        let _ = write!(
-            j,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{n},\"tid\":{t},\"args\":{{\"name\":\"{}\"}}}}",
-            track_label(*t)
-        );
+    for &(n, t) in &tracks {
+        trace.push(obj! {
+            "name" => "thread_name",
+            "ph" => "M",
+            "pid" => n,
+            "tid" => t,
+            "args" => obj! { "name" => track_label(t) },
+        });
     }
     let mut flow_id = 0u64;
     for e in events {
+        let (name, cat) = (e.event.kind_name(), e.layer.name());
         if let Event::Edge { src_node, src_track, src_ns, .. } = e.event {
             // A causal edge renders as a Perfetto flow pair: `"s"` at the
             // cause endpoint, `"f"` (binding to the enclosing slice end)
             // at the effect endpoint.
             flow_id += 1;
-            sep(&mut j);
-            let _ = write!(
-                j,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"id\":{},\"ph\":\"s\",\"pid\":{},\"tid\":{},\"ts\":{},\"args\":{{",
-                e.event.kind_name(),
-                e.layer.name(),
-                flow_id,
-                src_node,
-                src_track,
-                us(src_ns)
-            );
-            e.event.write_args(&mut j);
-            j.push_str("}}");
-            sep(&mut j);
-            let _ = write!(
-                j,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"id\":{},\"ph\":\"f\",\"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"args\":{{}}}}",
-                e.event.kind_name(),
-                e.layer.name(),
-                flow_id,
-                e.node.0,
-                e.track,
-                us(e.at.as_nanos())
-            );
+            trace.push(obj! {
+                "name" => name,
+                "cat" => cat,
+                "id" => flow_id,
+                "ph" => "s",
+                "pid" => src_node,
+                "tid" => src_track,
+                "ts" => us(src_ns),
+                "args" => e.event.args(),
+            });
+            trace.push(obj! {
+                "name" => name,
+                "cat" => cat,
+                "id" => flow_id,
+                "ph" => "f",
+                "bp" => "e",
+                "pid" => e.node.0,
+                "tid" => e.track,
+                "ts" => us(e.at.as_nanos()),
+                "args" => obj! {},
+            });
             continue;
         }
-        sep(&mut j);
-        let _ = write!(
-            j,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-            e.event.kind_name(),
-            e.layer.name(),
-            e.node.0,
-            e.track,
-            us(e.at.as_nanos())
-        );
+        let mut ev = obj! {
+            "name" => name,
+            "cat" => cat,
+            "pid" => e.node.0,
+            "tid" => e.track,
+            "ts" => us(e.at.as_nanos()),
+        };
         if e.dur_ns > 0 {
-            let _ = write!(j, ",\"ph\":\"X\",\"dur\":{}", us(e.dur_ns));
+            ev.push("ph", "X");
+            ev.push("dur", us(e.dur_ns));
         } else {
-            j.push_str(",\"ph\":\"i\",\"s\":\"t\"");
+            ev.push("ph", "i");
+            ev.push("s", "t");
         }
-        j.push_str(",\"args\":{");
-        e.event.write_args(&mut j);
-        j.push_str("}}");
+        ev.push("args", e.event.args());
+        trace.push(ev);
     }
-    j.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    j
+    obj! { "traceEvents" => Value::Arr(trace), "displayTimeUnit" => "ms" }.to_json()
 }
 
 #[cfg(test)]
@@ -157,8 +146,8 @@ mod tests {
         assert!(a.contains("\"ph\":\"i\""));
         assert!(a.contains("\"name\":\"node 0\""));
         assert!(a.contains("\"name\":\"nic\""));
-        // 7800ns span renders as 7.800us.
-        assert!(a.contains("\"dur\":7.800"));
+        // 7800ns span renders as 7.8us.
+        assert!(a.contains("\"dur\":7.8,"));
     }
 
     #[test]
@@ -189,8 +178,8 @@ mod tests {
         assert!(a.contains("\"ph\":\"s\""), "missing flow start: {a}");
         assert!(a.contains("\"ph\":\"f\",\"bp\":\"e\""), "missing flow finish: {a}");
         // Both endpoints get track metadata, and the pair shares an id.
-        assert!(a.contains("\"pid\":0,\"tid\":3,\"ts\":0.100"));
-        assert!(a.contains("\"pid\":1,\"tid\":5,\"ts\":0.900"));
+        assert!(a.contains("\"pid\":0,\"tid\":3,\"ts\":0.1,"));
+        assert!(a.contains("\"pid\":1,\"tid\":5,\"ts\":0.9,"));
         assert!(a.contains("\"id\":1"));
     }
 }

@@ -28,6 +28,8 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::event::{EdgeKind, Event, EventRecord, Layer, NIC_TRACK};
+use crate::json::Value;
+use crate::obj;
 
 /// Why [`analyze`] refused to produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -455,58 +457,28 @@ impl CritPath {
         out
     }
 
-    /// Serializes the report as deterministic JSON (sorted keys; the
-    /// workspace's `serde` is an offline marker shim, so this is
-    /// hand-rolled like `MetricsSnapshot::to_json`).
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(1024);
-        let _ = write!(
-            j,
-            "{{\n  \"total_ns\": {},\n  \"edges_on_path\": {},",
-            self.total_ns, self.edges_on_path
-        );
-        let map = |j: &mut String, name: &str, items: &[(String, u64)]| {
-            let _ = write!(j, "\n  \"{name}\": {{");
-            for (i, (k, v)) in items.iter().enumerate() {
-                if i > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\n    \"{k}\": {v}");
+    /// The report as a JSON tree: the partitions (`by_*`, keys sorted)
+    /// and the blame table.
+    pub fn to_value(&self) -> Value {
+        let blame = self.blame.iter().map(|r| {
+            obj! {
+                "kind" => r.kind.name(),
+                "src_node" => r.src_node,
+                "dst_node" => r.dst_node,
+                "obj" => r.obj,
+                "total_ns" => r.total_ns,
+                "count" => r.count,
             }
-            j.push_str("\n  },");
-        };
-        map(&mut j, "by_layer", &self.by_layer);
-        map(&mut j, "by_kind", &self.by_kind);
-        let nodes: Vec<(String, u64)> = self
-            .by_node
-            .iter()
-            .map(|&(n, v)| (n.to_string(), v))
-            .collect();
-        map(&mut j, "by_node", &nodes);
-        let pages: Vec<(String, u64)> = self
-            .by_page
-            .iter()
-            .map(|&(p, v)| (p.to_string(), v))
-            .collect();
-        map(&mut j, "by_page", &pages);
-        j.push_str("\n  \"blame\": [");
-        for (i, r) in self.blame.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"kind\": \"{}\", \"src_node\": {}, \"dst_node\": {}, \"obj\": {}, \"total_ns\": {}, \"count\": {}}}",
-                r.kind.name(),
-                r.src_node,
-                r.dst_node,
-                r.obj,
-                r.total_ns,
-                r.count
-            );
+        });
+        obj! {
+            "total_ns" => self.total_ns,
+            "edges_on_path" => self.edges_on_path,
+            "by_layer" => self.by_layer.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Value>(),
+            "by_kind" => self.by_kind.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Value>(),
+            "by_node" => self.by_node.iter().map(|(n, v)| (n.to_string(), *v)).collect::<Value>(),
+            "by_page" => self.by_page.iter().map(|(p, v)| (p.to_string(), *v)).collect::<Value>(),
+            "blame" => Value::arr(blame),
         }
-        j.push_str("\n  ]\n}\n");
-        j
     }
 }
 
@@ -663,8 +635,8 @@ mod tests {
         let a = analyze(&evs, 100, 0).unwrap();
         let b = analyze(&evs, 100, 0).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-        crate::json::validate(&a.to_json()).expect("critpath JSON parses");
+        assert_eq!(a.to_value().to_pretty(), b.to_value().to_pretty());
+        crate::json::validate(&a.to_value().to_pretty()).expect("critpath JSON parses");
         let text = a.render("TEST", 5);
         assert!(text.contains("lock_handoff"));
         assert!(text.contains("critical path"));

@@ -1,7 +1,7 @@
 //! Differential run analysis: structured deltas between two snapshot JSONs.
 //!
 //! [`diff`] walks two parsed [`crate::json::Value`] trees (any of the
-//! `BENCH_*.json` artifacts, a [`crate::MetricsSnapshot::to_json`] dump, a
+//! `BENCH_*.json` artifacts, a [`crate::MetricsSnapshot::to_value`] dump, a
 //! critpath report, or a stall profile) in lock-step and emits one
 //! [`DeltaRow`] per *changed numeric leaf*, plus added/removed paths and
 //! changed string/bool labels. Three properties make it usable as a
@@ -15,11 +15,17 @@
 //!   raising either threshold can only shrink the significant set.
 //!
 //! Each row also carries a *direction*: metric names classify as
-//! higher-is-worse (latencies, fault/message counts, wait time),
-//! lower-is-worse (speedups, hit rates, admissibility headroom), or
-//! neutral (configuration echoes and wall-clock times, which are
-//! host-dependent and must never gate). A `regression` is a significant
-//! delta in the worse direction — what `scripts/perfgate.sh` fails on.
+//! identity (checksums, digests, fingerprints: any change is a
+//! regression, whatever the thresholds), higher-is-worse (latencies,
+//! fault/message counts, wait time), lower-is-worse (speedups, hit
+//! rates, admissibility headroom), or neutral (configuration echoes and
+//! wall-clock times, which are host-dependent and must never gate). A
+//! `regression` is a significant delta in the worse direction — what
+//! `scripts/perfgate.sh` fails on, together with any removed path.
+//!
+//! Numbers compare by value (`5` equals `5.0`), and integral leaves
+//! compare exactly, so a checksum above 2^53 that changes in its last
+//! digits is a changed leaf.
 //!
 //! Arrays of objects are matched by a composite identity key (kernel,
 //! mode, node, page, toggle flags, …) rather than by index, so a
@@ -57,14 +63,21 @@ pub enum Direction {
     LowerWorse,
     /// Never gates (config echoes, wall-clock host time).
     Neutral,
+    /// Any change is a regression (checksums, digests, fingerprints):
+    /// the value has no magnitude, so thresholds do not apply.
+    Identity,
 }
 
-/// Classifies a leaf key's direction. Wall-clock keys are neutral first
+/// Classifies a leaf key's direction. Result identities (`checksum`,
+/// `digest`, `*fingerprint`) come first, then wall-clock keys are neutral
 /// (host-dependent), then good-when-big names, then bad-when-big names;
 /// anything unrecognized is neutral so config echoes can't fake a
 /// regression.
 pub fn direction_for(leaf: &str) -> Direction {
     let k = leaf.to_ascii_lowercase();
+    if k.contains("checksum") || k.contains("digest") || k.ends_with("fingerprint") {
+        return Direction::Identity;
+    }
     if k.contains("wall") {
         return Direction::Neutral;
     }
@@ -115,17 +128,19 @@ pub struct DeltaRow {
     pub path: String,
     /// Coarse section ([`section_for`]).
     pub section: &'static str,
-    /// Value in the first (baseline) input.
-    pub before: f64,
+    /// Value in the first (baseline) input (a number, exact when
+    /// integral).
+    pub before: Value,
     /// Value in the second (candidate) input.
-    pub after: f64,
+    pub after: Value,
     /// `after - before`.
     pub delta: f64,
     /// `100 * delta / |before|`; infinite when `before == 0`.
     pub rel_pct: f64,
     /// Direction of the leaf key.
     pub direction: Direction,
-    /// Whether the delta clears both thresholds.
+    /// Whether the delta clears both thresholds (always, for an
+    /// [`Direction::Identity`] leaf).
     pub significant: bool,
     /// Significant *and* in the worse direction.
     pub regression: bool,
@@ -152,28 +167,13 @@ const ID_KEYS: &[&str] = &[
     "track", "bucket", "start_ns", "level",
 ];
 
-fn scalar_str(v: &Value) -> String {
-    match v {
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Value::Str(s) => s.clone(),
-        Value::Bool(b) => b.to_string(),
-        Value::Null => "null".to_string(),
-        _ => "?".to_string(),
-    }
-}
-
 fn id_of(obj: &[(String, Value)]) -> Option<String> {
     let mut parts = Vec::new();
     for k in ID_KEYS {
         if let Some((_, v)) = obj.iter().find(|(kk, _)| kk == k) {
             if !matches!(v, Value::Arr(_) | Value::Obj(_)) {
-                parts.push(format!("{k}={}", scalar_str(v)));
+                let v = v.as_str().map_or_else(|| v.to_json(), str::to_string);
+                parts.push(format!("{k}={v}"));
             }
         }
     }
@@ -182,28 +182,34 @@ fn id_of(obj: &[(String, Value)]) -> Option<String> {
 
 fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
     match (a, b) {
-        (Value::Num(x), Value::Num(y)) => {
-            if x != y {
+        (Value::Int(_) | Value::Num(_), Value::Int(_) | Value::Num(_)) => {
+            if a != b {
                 let leaf = path.rsplit('.').next().unwrap_or(path);
-                let delta = y - x;
-                let rel_pct = if *x != 0.0 {
+                let delta = match exact_delta(a, b) {
+                    Some(d) => d as f64,
+                    None => b.as_f64().unwrap_or(0.0) - a.as_f64().unwrap_or(0.0),
+                };
+                let x = a.as_f64().unwrap_or(0.0);
+                let rel_pct = if x != 0.0 {
                     100.0 * delta / x.abs()
                 } else {
                     f64::INFINITY * delta.signum()
                 };
                 let direction = direction_for(leaf);
-                let significant = delta.abs() > th.abs && rel_pct.abs() > th.rel_pct;
+                let significant = direction == Direction::Identity
+                    || (delta.abs() > th.abs && rel_pct.abs() > th.rel_pct);
                 let regression = significant
                     && match direction {
                         Direction::HigherWorse => delta > 0.0,
                         Direction::LowerWorse => delta < 0.0,
                         Direction::Neutral => false,
+                        Direction::Identity => true,
                     };
                 out.rows.push(DeltaRow {
                     path: path.to_string(),
                     section: section_for(path),
-                    before: *x,
-                    after: *y,
+                    before: a.clone(),
+                    after: b.clone(),
                     delta,
                     rel_pct,
                     direction,
@@ -292,6 +298,14 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
     }
 }
 
+/// `b - a` exactly, when both are integers (and it fits).
+fn exact_delta(a: &Value, b: &Value) -> Option<i128> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => y.checked_sub(*x),
+        _ => None,
+    }
+}
+
 /// Diffs two parsed JSON trees. See the module docs for the guarantees.
 pub fn diff(a: &Value, b: &Value, th: &Thresholds) -> Diff {
     let mut out = Diff::default();
@@ -316,6 +330,12 @@ impl Diff {
     /// The regression rows (significant, worse direction).
     pub fn regressions(&self) -> impl Iterator<Item = &DeltaRow> {
         self.rows.iter().filter(|r| r.regression)
+    }
+
+    /// Whether the perf gate fails: any regression, or any path of the
+    /// baseline missing from the candidate (a skipped cell cannot pass).
+    pub fn fails_gate(&self) -> bool {
+        self.regressions().next().is_some() || !self.removed.is_empty()
     }
 
     /// Renders the delta report. With `all` false only significant rows
@@ -356,8 +376,8 @@ impl Diff {
                 "{:<9} {:<58} {:>14} {:>14} {:>10}",
                 mark,
                 format!("{} [{}]", r.path, r.section),
-                fmt_f64(r.before),
-                fmt_f64(r.after),
+                r.before.round(4).to_json(),
+                r.after.round(4).to_json(),
                 rel
             );
         }
@@ -383,84 +403,33 @@ impl Diff {
         out
     }
 
-    /// Deterministic JSON of the delta report.
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(1024);
-        j.push_str("{\n  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
+    /// The delta report as a JSON tree (integer deltas exact, other
+    /// numbers rounded to four decimals; an infinite `rel_pct` is `null`).
+    pub fn to_value(&self) -> Value {
+        let rows = self.rows.iter().map(|r| {
+            let delta = exact_delta(&r.before, &r.after);
+            crate::obj! {
+                "path" => &r.path,
+                "section" => r.section,
+                "before" => r.before.round(4),
+                "after" => r.after.round(4),
+                "delta" => delta.map_or(Value::fixed(r.delta, 4), Value::Int),
+                "rel_pct" => Value::fixed(r.rel_pct, 4),
+                "significant" => r.significant,
+                "regression" => r.regression,
             }
-            let rel = if r.rel_pct.is_finite() {
-                format!("{:.4}", r.rel_pct)
-            } else {
-                "null".to_string()
-            };
-            let _ = write!(
-                j,
-                "\n    {{\"path\": \"{}\", \"section\": \"{}\", \"before\": {}, \"after\": {}, \
-                 \"delta\": {}, \"rel_pct\": {}, \"significant\": {}, \"regression\": {}}}",
-                escape(&r.path),
-                r.section,
-                fmt_f64(r.before),
-                fmt_f64(r.after),
-                fmt_f64(r.delta),
-                rel,
-                r.significant,
-                r.regression
-            );
-        }
-        j.push_str("\n  ],\n  \"labels\": [");
-        for (i, (p, x, y)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"path\": \"{}\", \"before\": \"{}\", \"after\": \"{}\"}}",
-                escape(p),
-                escape(x),
-                escape(y)
-            );
-        }
-        let list = |j: &mut String, name: &str, items: &[String]| {
-            let _ = write!(j, "\n  ],\n  \"{name}\": [");
-            for (i, p) in items.iter().enumerate() {
-                if i > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\n    \"{}\"", escape(p));
-            }
-        };
-        list(&mut j, "added", &self.added);
-        list(&mut j, "removed", &self.removed);
-        j.push_str("\n  ]\n}\n");
-        j
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.4}")
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+        });
+        let labels = self
+            .labels
+            .iter()
+            .map(|(p, x, y)| crate::obj! { "path" => p, "before" => x, "after" => y });
+        crate::obj! {
+            "rows" => Value::arr(rows),
+            "labels" => Value::arr(labels),
+            "added" => Value::arr(&self.added),
+            "removed" => Value::arr(&self.removed),
         }
     }
-    out
 }
 
 impl fmt::Display for Diff {
@@ -523,8 +492,8 @@ mod tests {
         let d1 = diff(&a, &b, &Thresholds::default());
         let d2 = diff(&a, &b, &Thresholds::default());
         assert_eq!(d1, d2);
-        assert_eq!(d1.to_json(), d2.to_json());
-        crate::json::validate(&d1.to_json()).expect("diff JSON parses");
+        assert_eq!(d1.to_value().to_pretty(), d2.to_value().to_pretty());
+        crate::json::validate(&d1.to_value().to_pretty()).expect("diff JSON parses");
         assert_eq!(d1.labels.len(), 2);
         assert_eq!(d1.added, vec!["x[2]".to_string()]);
     }

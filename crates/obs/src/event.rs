@@ -10,6 +10,9 @@ use std::fmt;
 
 use sim::{NodeId, SimTime};
 
+use crate::json::Value;
+use crate::obj;
+
 /// Track id used for events that belong to a node's NIC rather than to a
 /// simulated thread (SAN sends/fetches, VMMC remote operations).
 pub const NIC_TRACK: u64 = 1_000_000;
@@ -648,125 +651,93 @@ impl Event {
         matches!(self, Event::Edge { .. })
     }
 
-    /// Writes the Chrome-trace `args` object body (without braces) for
-    /// this event. Deterministic: fixed field order, integers only.
-    pub fn write_args(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            Event::Fault { page, write } | Event::FaultSpan { page, write } => {
-                let _ = write!(out, "\"page\":{page},\"write\":{write}");
-            }
-            Event::Place { base } | Event::Migrate { base } => {
-                let _ = write!(out, "\"base\":{base}");
-            }
-            Event::Fetch { page, home } => {
-                let _ = write!(out, "\"page\":{page},\"home\":{home}");
-            }
-            Event::Diff { page, bytes } => {
-                let _ = write!(out, "\"page\":{page},\"bytes\":{bytes}");
-            }
-            Event::Invalidate { page } | Event::PrefetchMasked { page } => {
-                let _ = write!(out, "\"page\":{page}");
-            }
-            Event::DiffBatch { home, pages, bytes } => {
-                let _ = write!(out, "\"home\":{home},\"pages\":{pages},\"bytes\":{bytes}");
-            }
-            Event::Prefetch { page, pages, home } => {
-                let _ = write!(out, "\"page\":{page},\"pages\":{pages},\"home\":{home}");
-            }
-            Event::SanSend { to, bytes } | Event::SanFetch { to, bytes } => {
-                let _ = write!(out, "\"to\":{to},\"bytes\":{bytes}");
-            }
-            Event::SanNotify { to } | Event::VmmcNotify { to } => {
-                let _ = write!(out, "\"to\":{to}");
-            }
+    /// The Chrome-trace `args` object for this event. Deterministic:
+    /// fixed field order, integers and names only.
+    pub fn args(&self) -> Value {
+        match *self {
+            Event::Fault { page, write } | Event::FaultSpan { page, write } => obj! {
+                "page" => page,
+                "write" => write,
+            },
+            Event::Place { base } | Event::Migrate { base } => obj! { "base" => base },
+            Event::Fetch { page, home } => obj! { "page" => page, "home" => home },
+            Event::Diff { page, bytes } => obj! { "page" => page, "bytes" => bytes },
+            Event::Invalidate { page } | Event::PrefetchMasked { page } => obj! { "page" => page },
+            Event::DiffBatch { home, pages, bytes } => obj! {
+                "home" => home,
+                "pages" => pages,
+                "bytes" => bytes,
+            },
+            Event::Prefetch { page, pages, home } => obj! {
+                "page" => page,
+                "pages" => pages,
+                "home" => home,
+            },
+            Event::SanSend { to, bytes } | Event::SanFetch { to, bytes } => obj! {
+                "to" => to,
+                "bytes" => bytes,
+            },
+            Event::SanNotify { to } | Event::VmmcNotify { to } => obj! { "to" => to },
             Event::VmmcWrite { region, bytes }
             | Event::VmmcFetch { region, bytes }
-            | Event::VmmcRegister { region, bytes } => {
-                let _ = write!(out, "\"region\":{region},\"bytes\":{bytes}");
-            }
-            Event::VmmcImport { region } => {
-                let _ = write!(out, "\"region\":{region}");
-            }
-            Event::ReleaseSpan { diffs } => {
-                let _ = write!(out, "\"diffs\":{diffs}");
-            }
-            Event::AcquireSpan { invals } => {
-                let _ = write!(out, "\"invals\":{invals}");
-            }
+            | Event::VmmcRegister { region, bytes } => obj! {
+                "region" => region,
+                "bytes" => bytes,
+            },
+            Event::VmmcImport { region } => obj! { "region" => region },
+            Event::ReleaseSpan { diffs } => obj! { "diffs" => diffs },
+            Event::AcquireSpan { invals } => obj! { "invals" => invals },
             Event::LockWait { id }
             | Event::BarrierWait { id }
             | Event::PthMutexWait { id }
             | Event::PthCondWait { id }
-            | Event::PthBarrierWait { id } => {
-                let _ = write!(out, "\"id\":{id}");
-            }
-            Event::PthRwWait { id, write } => {
-                let _ = write!(out, "\"id\":{id},\"write\":{write}");
-            }
-            Event::ThreadCreate { ct, on } => {
-                let _ = write!(out, "\"ct\":{ct},\"on\":{on}");
-            }
-            Event::ThreadJoin { ct } => {
-                let _ = write!(out, "\"ct\":{ct}");
-            }
-            Event::GlobalAlloc { base, bytes } => {
-                let _ = write!(out, "\"base\":{base},\"bytes\":{bytes}");
-            }
-            Event::NodeAttach { node } | Event::NodeDetach { node } => {
-                let _ = write!(out, "\"node\":{node}");
-            }
-            Event::Sched { kind } => {
-                let _ = write!(out, "\"kind\":\"{}\"", kind.name());
-            }
+            | Event::PthBarrierWait { id } => obj! { "id" => id },
+            Event::PthRwWait { id, write } => obj! { "id" => id, "write" => write },
+            Event::ThreadCreate { ct, on } => obj! { "ct" => ct, "on" => on },
+            Event::ThreadJoin { ct } => obj! { "ct" => ct },
+            Event::GlobalAlloc { base, bytes } => obj! { "base" => base, "bytes" => bytes },
+            Event::NodeAttach { node } | Event::NodeDetach { node } => obj! { "node" => node },
+            Event::Sched { kind } => obj! { "kind" => kind.name() },
             Event::ChaosWireFault {
                 to,
                 delay_ns,
                 retransmits,
                 duplicates,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"to\":{to},\"delay_ns\":{delay_ns},\"retransmits\":{retransmits},\"duplicates\":{duplicates}"
-                );
-            }
-            Event::ChaosResourceFault { op } => {
-                let _ = write!(out, "\"op\":\"{op}\"");
-            }
-            Event::ChaosRetry { attempt, backoff_ns } => {
-                let _ = write!(out, "\"attempt\":{attempt},\"backoff_ns\":{backoff_ns}");
-            }
-            Event::ChaosEvict { region } => {
-                let _ = write!(out, "\"region\":{region}");
-            }
-            Event::ChaosCrash { node } => {
-                let _ = write!(out, "\"node\":{node}");
-            }
-            Event::ServiceRequest { op, shard, key } => {
-                let _ = write!(out, "\"op\":\"{}\",\"shard\":{shard},\"key\":{key}", op.name());
-            }
+            } => obj! {
+                "to" => to,
+                "delay_ns" => delay_ns,
+                "retransmits" => retransmits,
+                "duplicates" => duplicates,
+            },
+            Event::ChaosResourceFault { op } => obj! { "op" => op },
+            Event::ChaosRetry { attempt, backoff_ns } => obj! {
+                "attempt" => attempt,
+                "backoff_ns" => backoff_ns,
+            },
+            Event::ChaosEvict { region } => obj! { "region" => region },
+            Event::ChaosCrash { node } => obj! { "node" => node },
+            Event::ServiceRequest { op, shard, key } => obj! {
+                "op" => op.name(),
+                "shard" => shard,
+                "key" => key,
+            },
             Event::ChaosRecovery {
                 node,
                 threads,
                 latency_ns,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"node\":{node},\"threads\":{threads},\"latency_ns\":{latency_ns}"
-                );
-            }
+            } => obj! { "node" => node, "threads" => threads, "latency_ns" => latency_ns },
             Event::Edge {
                 src_node,
                 src_track,
                 src_ns,
                 obj,
                 ..
-            } => {
-                let _ = write!(
-                    out,
-                    "\"src_node\":{src_node},\"src_track\":{src_track},\"src_ns\":{src_ns},\"obj\":{obj}"
-                );
-            }
+            } => obj! {
+                "src_node" => src_node,
+                "src_track" => src_track,
+                "src_ns" => src_ns,
+                "obj" => obj,
+            },
         }
     }
 }

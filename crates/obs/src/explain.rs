@@ -75,10 +75,10 @@ pub struct Cause {
     pub name: String,
     /// Full diff path of the underlying row (empty for window causes).
     pub path: String,
-    /// Baseline value.
-    pub before: f64,
+    /// Baseline value (a number).
+    pub before: Value,
     /// Candidate value.
-    pub after: f64,
+    pub after: Value,
     /// `after - before`.
     pub delta: f64,
     /// This cause's delta as a percentage of the finding's delta, when
@@ -91,10 +91,10 @@ pub struct Cause {
 pub struct Finding {
     /// Diff path of the regressed metric.
     pub path: String,
-    /// Baseline value.
-    pub before: f64,
+    /// Baseline value (a number).
+    pub before: Value,
     /// Candidate value.
-    pub after: f64,
+    pub after: Value,
     /// Relative change, percent.
     pub rel_pct: f64,
     /// Ranked explanations, best first.
@@ -198,8 +198,8 @@ pub fn first_divergent_window(base: &Stream, cand: &Stream, rel_pct: f64) -> Opt
                         if y > x { "grew" } else { "shrank" }
                     ),
                     path: String::new(),
-                    before: x,
-                    after: y,
+                    before: b[bucket as usize].into(),
+                    after: c[bucket as usize].into(),
                     delta: y - x,
                     share_pct: None,
                 });
@@ -289,8 +289,8 @@ pub fn explain_diff(
                             kind: *k,
                             name: name.clone(),
                             path: r.path.clone(),
-                            before: r.before,
-                            after: r.after,
+                            before: r.before.clone(),
+                            after: r.after.clone(),
                             delta: r.delta,
                             share_pct,
                         },
@@ -316,8 +316,8 @@ pub fn explain_diff(
             }
             Finding {
                 path: f.path.clone(),
-                before: f.before,
-                after: f.after,
+                before: f.before.clone(),
+                after: f.after.clone(),
                 rel_pct: f.rel_pct,
                 causes,
             }
@@ -326,14 +326,6 @@ pub fn explain_diff(
     Explanation {
         findings: out,
         notes,
-    }
-}
-
-fn fmt_val(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.2}")
     }
 }
 
@@ -361,8 +353,8 @@ impl Explanation {
                 "#{} {}: {} -> {} ({})",
                 i + 1,
                 f.path,
-                fmt_val(f.before),
-                fmt_val(f.after),
+                f.before.round(2).to_json(),
+                f.after.round(2).to_json(),
                 rel
             );
             if f.causes.is_empty() {
@@ -378,8 +370,8 @@ impl Explanation {
                     "   {:<9} {:<40} {:>14} -> {:<14} {:+}{share}",
                     c.kind.tag(),
                     c.name,
-                    fmt_val(c.before),
-                    fmt_val(c.after),
+                    c.before.round(2).to_json(),
+                    c.after.round(2).to_json(),
                     c.delta as i64
                 );
             }
@@ -390,48 +382,27 @@ impl Explanation {
         out
     }
 
-    /// Deterministic JSON of the report.
-    pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"path\": \"{}\", \"before\": {}, \"after\": {}, \"causes\": [",
-                f.path,
-                fmt_val(f.before),
-                fmt_val(f.after)
-            );
-            for (k, c) in f.causes.iter().enumerate() {
-                if k > 0 {
-                    j.push(',');
+    /// The report as a JSON tree (non-integral numbers rounded to two
+    /// decimals).
+    pub fn to_value(&self) -> Value {
+        let findings = self.findings.iter().map(|f| {
+            let causes = f.causes.iter().map(|c| {
+                crate::obj! {
+                    "kind" => c.kind.tag(),
+                    "name" => &c.name,
+                    "before" => c.before.round(2),
+                    "after" => c.after.round(2),
+                    "share_pct" => c.share_pct.map(|s| Value::fixed(s, 2)),
                 }
-                let share = c
-                    .share_pct
-                    .map(|s| format!("{s:.2}"))
-                    .unwrap_or_else(|| "null".into());
-                let _ = write!(
-                    j,
-                    "\n      {{\"kind\": \"{}\", \"name\": \"{}\", \"before\": {}, \"after\": {}, \"share_pct\": {share}}}",
-                    c.kind.tag(),
-                    c.name,
-                    fmt_val(c.before),
-                    fmt_val(c.after)
-                );
+            });
+            crate::obj! {
+                "path" => &f.path,
+                "before" => f.before.round(2),
+                "after" => f.after.round(2),
+                "causes" => Value::arr(causes),
             }
-            j.push_str("\n    ]}");
-        }
-        j.push_str("\n  ],\n  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(j, "\"{n}\"");
-        }
-        j.push_str("]\n}\n");
-        j
+        });
+        crate::obj! { "findings" => Value::arr(findings), "notes" => Value::arr(&self.notes) }
     }
 }
 
@@ -465,7 +436,7 @@ mod tests {
         assert_eq!(first.share_pct.map(|s| s.round() as i64), Some(100));
         let text = e.render("t");
         assert!(text.contains("barrier_wait"));
-        crate::json::validate(&e.to_json()).unwrap();
+        crate::json::validate(&e.to_value().to_pretty()).unwrap();
     }
 
     #[test]

@@ -1,10 +1,20 @@
-//! A tiny recursive-descent JSON validator and value parser.
+//! The repo's one JSON reader and writer.
 //!
 //! The workspace is offline (`serde` is a marker shim, there is no
-//! `serde_json`), but the exporters emit JSON artifacts that CI must prove
-//! well-formed. [`validate`] accepts exactly RFC-8259 JSON without
-//! building a value tree; [`parse`] builds a [`Value`] tree for the
-//! consumers that need one (`obs::diff`, the `cablestat` CLI).
+//! `serde_json`), so every artifact, NDJSON stream line and Chrome trace
+//! is built as a [`Value`] tree and serialized here, in one of two
+//! layouts: [`Value::to_json`] (compact, one line: NDJSON and the Chrome
+//! trace) and [`Value::to_pretty`] (2-space indent, any container that
+//! holds only scalars kept on one line: the git-diffable `BENCH_*.json`
+//! artifacts). [`parse`] reads exactly RFC-8259 JSON back into a tree;
+//! [`validate`] is `parse` without the tree.
+//!
+//! Integral number literals stay exact ([`Value::Int`]), so checksums and
+//! digests above 2^53 survive a parse→write round trip; every other
+//! number is an `f64`, written in its shortest round-trip form with a
+//! fraction or exponent (`7800.0`, `2.5e36`), so it reads back as an
+//! `f64`; a non-finite `f64` is written as `null`, so the writer never
+//! emits invalid JSON.
 
 /// Validates that `s` is one well-formed JSON value (with nothing but
 /// whitespace after it).
@@ -13,26 +23,18 @@
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0, depth: 0 };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
+    parse(s).map(|_| ())
 }
 
-/// Maximum container nesting depth either parser accepts. The artifacts
+/// Maximum container nesting depth the parser accepts. The artifacts
 /// nest a handful of levels; the bound exists so adversarial or corrupt
 /// input (`[[[[…`) fails with an error instead of exhausting the stack —
-/// both [`validate`] and [`parse`] recurse per nesting level.
+/// the parser recurses per nesting level.
 pub const MAX_DEPTH: usize = 128;
 
-/// Converts a byte offset in `s` (as reported in [`validate`]/[`parse`]
-/// errors) to 1-based `(line, column)`, for human-addressable error
-/// reporting (`cablestat check`).
+/// Converts a byte offset in `s` (as reported in [`parse`] errors) to
+/// 1-based `(line, column)`, for human-addressable error reporting
+/// (`cablestat check`).
 pub fn line_col(s: &str, byte: usize) -> (usize, usize) {
     let upto = &s.as_bytes()[..byte.min(s.len())];
     let line = upto.iter().filter(|&&c| c == b'\n').count() + 1;
@@ -40,30 +42,157 @@ pub fn line_col(s: &str, byte: usize) -> (usize, usize) {
     (line, col)
 }
 
-/// A parsed JSON value.
+/// 2^53: past it, not every integer is an `f64`.
+const EXACT_F64: f64 = 9_007_199_254_740_992.0;
+
+/// A JSON value.
 ///
-/// Object members keep their document order (a `Vec` of pairs, not a
-/// map), so re-serializing a parsed document is deterministic and diffs
-/// walk both documents in a stable order. Numbers are `f64` — every
-/// quantity the artifacts carry (simulated nanoseconds, counts) is well
-/// inside the 2^53 exact-integer range.
-#[derive(Debug, Clone, PartialEq)]
+/// Object members keep their insertion (document) order — a `Vec` of
+/// pairs, not a map — so serialization is deterministic and diffs walk
+/// both documents in a stable order. Numbers compare by value: `Int(5)`
+/// equals `Num(5.0)`.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// An integral number, exact (counts, simulated ns, checksums).
+    Int(i128),
+    /// Any other number. Non-finite values serialize as `null`.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, members in document order.
+    /// An object, members in order.
     Obj(Vec<(String, Value)>),
 }
 
+/// Builds a [`Value::Obj`] from `key => value` pairs, in order; each value
+/// goes through [`Value::from`].
+///
+/// ```
+/// let v = cables_obs::obj! { "bench" => "fig6", "procs" => 4u64, "pct" => 0.5 };
+/// assert_eq!(v.to_json(), r#"{"bench":"fig6","procs":4,"pct":0.5}"#);
+/// ```
+#[macro_export]
+macro_rules! obj {
+    ($($k:expr => $v:expr),* $(,)?) => {
+        $crate::json::Value::Obj(vec![
+            $((::std::string::String::from($k), $crate::json::Value::from($v))),*
+        ])
+    };
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Num(a), Num(b)) => a == b,
+            (Int(i), Num(f)) | (Num(f), Int(i)) => {
+                f.fract() == 0.0 && f.abs() < i128::MAX as f64 && *f as i128 == *i
+            }
+            (Str(a), Str(b)) => a == b,
+            (Arr(a), Arr(b)) => a == b,
+            (Obj(a), Obj(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+macro_rules! from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Int(n as i128)
+            }
+        }
+    )*};
+}
+from_int!(u32, u64, usize);
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Value {
+        Value::Num(n)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl From<&String> for Value {
+    fn from(s: &String) -> Value {
+        Value::Str(s.clone())
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(o: Option<T>) -> Value {
+        o.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(v: Vec<T>) -> Value {
+        Value::arr(v)
+    }
+}
+
+/// Collects `(key, value)` pairs into a [`Value::Obj`], in order.
+impl<K: Into<String>, V: Into<Value>> FromIterator<(K, V)> for Value {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(it: I) -> Value {
+        Value::Obj(it.into_iter().map(|(k, v)| (k.into(), v.into())).collect())
+    }
+}
+
 impl Value {
+    /// An array of `items`.
+    pub fn arr<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// `x` rounded to `places` decimals, exactly as `format!("{x:.places$}")`
+    /// rounds it — for leaves whose precision is part of the schema
+    /// (throughputs, percentages, microsecond timestamps).
+    pub fn fixed(x: f64, places: usize) -> Value {
+        Value::Num(format!("{x:.places$}").parse().unwrap_or(x))
+    }
+
+    /// A number rounded as [`Value::fixed`] rounds it when it is not
+    /// integral; any other value unchanged.
+    pub fn round(&self, places: usize) -> Value {
+        match self {
+            Value::Num(n) => Value::fixed(*n, places),
+            v => v.clone(),
+        }
+    }
+
+    /// Appends a member to an object (no-op on other variants).
+    pub fn push(&mut self, key: &str, v: impl Into<Value>) {
+        if let Value::Obj(m) = self {
+            m.push((key.to_string(), v.into()));
+        }
+    }
+
     /// Member lookup on an object (`None` for other variants or a
     /// missing key).
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -76,6 +205,7 @@ impl Value {
     /// The number, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(i) => Some(*i as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -84,7 +214,8 @@ impl Value {
     /// The number as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
+            Value::Int(i) => u64::try_from(*i).ok(),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT_F64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -123,71 +254,127 @@ impl Value {
         }
     }
 
-    /// Serializes the value back to compact deterministic JSON. Integral
-    /// numbers print without a fraction, so a parse→write round trip of
-    /// the integer-only artifacts is lossless.
+    /// Compact JSON on one line (no trailing newline): the NDJSON and
+    /// Chrome-trace layout.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Pretty JSON with a trailing newline: 2-space indent, and any
+    /// container that holds only scalars on one line (`[1, 2]`,
+    /// `{"a": 1, "b": true}`), so artifacts diff line by line and a
+    /// top-level `"smoke": true` stays greppable.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    fn is_container(&self) -> bool {
+        matches!(self, Value::Arr(_) | Value::Obj(_))
+    }
+
+    /// Writes the value; `indent` is the nesting level in the pretty
+    /// layout, `None` for compact.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         use std::fmt::Write as _;
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < (1u64 << 53) as f64 {
-                    let _ = write!(out, "{}", *n as i64);
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            // An integral `Num` keeps a fraction (`7800.0`), or past 2^53
+            // an exponent, so it reads back as a `Num`, not an `Int`.
+            Value::Num(n) if n.is_finite() && n.fract() == 0.0 => {
+                if n.abs() < EXACT_F64 {
+                    let _ = write!(out, "{n:.1}");
                 } else {
-                    let _ = write!(out, "{n}");
+                    let _ = write!(out, "{n:e}");
                 }
             }
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
+            Value::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
             }
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(v) => {
-                out.push('[');
-                for (i, e) in v.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    e.write(out);
-                }
-                out.push(']');
+                let multiline = v.iter().any(Value::is_container);
+                write_seq(out, indent, multiline, ('[', ']'), v.iter().map(|e| (None, e)));
             }
             Value::Obj(m) => {
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Value::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
+                let multiline = m.iter().any(|(_, v)| v.is_container());
+                write_seq(out, indent, multiline, ('{', '}'), m.iter().map(|(k, v)| (Some(k), v)));
             }
         }
     }
 }
 
-/// Parses one JSON document into a [`Value`] tree.
+/// Writes a container's members (`key` is `None` for array elements):
+/// compact when `indent` is `None`, one member per line when pretty and
+/// `multiline`, otherwise on one `", "`-separated line.
+fn write_seq<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    multiline: bool,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a String>, &'a Value)>,
+) {
+    let (sep, colon) = if indent.is_some() { (", ", ": ") } else { (",", ":") };
+    let inner = indent.map(|l| l + 1);
+    let newline = |out: &mut String, level: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat("  ").take(level));
+    };
+    out.push(open);
+    for (i, (k, v)) in members.enumerate() {
+        match inner {
+            Some(level) if multiline => {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline(out, level);
+            }
+            _ if i > 0 => out.push_str(sep),
+            _ => {}
+        }
+        if let Some(k) = k {
+            write_str(out, k);
+            out.push_str(colon);
+        }
+        v.write(out, inner);
+    }
+    if let (Some(level), true) = (indent, multiline) {
+        newline(out, level);
+    }
+    out.push(close);
+}
+
+fn write_str(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Parses one JSON document into a [`Value`] tree. Integral literals
+/// (no fraction or exponent) that fit an `i128` become exact
+/// [`Value::Int`]s.
 ///
 /// # Errors
 ///
@@ -196,7 +383,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let mut p = Parser { b, i: 0, depth: 0 };
     p.ws();
-    let v = p.build()?;
+    let v = p.value()?;
     p.ws();
     if p.i != b.len() {
         return Err(format!("trailing data at byte {}", p.i));
@@ -217,14 +404,6 @@ impl Parser<'_> {
         }
     }
 
-    fn descend(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        Ok(())
-    }
-
     fn err<T>(&self, what: &str) -> Result<T, String> {
         Err(format!("{} at byte {}", what, self.i))
     }
@@ -242,132 +421,66 @@ impl Parser<'_> {
         }
     }
 
-    /// Parses one value, building the tree ([`parse`]'s workhorse).
-    fn build(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             Some(b'{') => {
-                self.descend()?;
-                self.eat(b'{')?;
-                self.ws();
                 let mut m = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(m));
-                }
-                loop {
-                    self.ws();
-                    let k = self.build_string()?;
-                    self.ws();
-                    self.eat(b':')?;
-                    self.ws();
-                    let v = self.build()?;
-                    m.push((k, v));
-                    self.ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            self.depth -= 1;
-                            return Ok(Value::Obj(m));
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
+                self.seq(b'{', b'}', |p| {
+                    let k = p.string()?;
+                    p.ws();
+                    p.eat(b':')?;
+                    p.ws();
+                    m.push((k, p.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(m))
             }
             Some(b'[') => {
-                self.descend()?;
-                self.eat(b'[')?;
-                self.ws();
                 let mut v = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(v));
-                }
-                loop {
-                    self.ws();
-                    v.push(self.build()?);
-                    self.ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            self.depth -= 1;
-                            return Ok(Value::Arr(v));
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
+                self.seq(b'[', b']', |p| {
+                    v.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(v))
             }
-            Some(b'"') => Ok(Value::Str(self.build_string()?)),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
             Some(b'n') => self.literal("null").map(|()| Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.i;
-                self.number()?;
-                let text = std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|_| format!("non-utf8 number at byte {start}"))?;
-                text.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|_| format!("unparseable number at byte {start}"))
-            }
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    /// Validates and decodes one string literal.
-    fn build_string(&mut self) -> Result<String, String> {
-        let start = self.i;
-        self.string()?;
-        let raw = std::str::from_utf8(&self.b[start + 1..self.i - 1])
-            .map_err(|_| format!("non-utf8 string at byte {start}"))?;
-        if !raw.contains('\\') {
-            return Ok(raw.to_string());
-        }
-        let mut out = String::with_capacity(raw.len());
-        let mut it = raw.chars();
-        while let Some(c) = it.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match it.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (&mut it).take(4).collect();
-                    let cp = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape in string at byte {start}"))?;
-                    // Surrogate halves (already validated as hex) decode to
-                    // the replacement character; the artifacts never emit
-                    // them.
-                    out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                }
-                _ => return Err(format!("bad escape in string at byte {start}")),
-            }
-        }
-        Ok(out)
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parses a bracketed, comma-separated sequence, calling `member` at
+    /// the start of each member (after whitespace).
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.eat(open)?;
+        self.ws();
+        if self.peek() != Some(close) {
+            loop {
+                self.ws();
+                member(self)?;
+                self.ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(c) if c == close => break,
+                    _ => return self.err(&format!("expected ',' or '{}'", close as char)),
+                }
+            }
+        }
+        self.i += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
     fn literal(&mut self, word: &str) -> Result<(), String> {
@@ -379,128 +492,100 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
-        self.descend()?;
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.descend()?;
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
+    /// Scans and decodes one string literal.
+    fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
+        let mut out = Vec::new();
+        loop {
+            match self.peek() {
+                None => return self.err("unterminated string"),
+                Some(b'"') => break,
+                Some(b'\\') => {
                     self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return self.err("bad \\u escape"),
-                                }
+                            let hex = self.b.get(self.i + 1..self.i + 5).unwrap_or_default();
+                            if hex.len() < 4 || !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return self.err("bad \\u escape");
                             }
+                            self.i += 4;
+                            let cp = hex
+                                .iter()
+                                .fold(0, |cp, &h| cp * 16 + (h as char).to_digit(16).unwrap_or(0));
+                            // Surrogate halves decode to the replacement
+                            // character; the artifacts never emit them.
+                            char::from_u32(cp).unwrap_or('\u{fffd}')
                         }
                         _ => return self.err("bad escape"),
-                    }
+                    };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                 }
-                0x00..=0x1F => return self.err("raw control character in string"),
-                _ => self.i += 1,
+                Some(0x00..=0x1F) => return self.err("raw control character in string"),
+                Some(c) => out.push(c),
             }
+            self.i += 1;
         }
-        self.err("unterminated string")
+        self.i += 1;
+        // The input is a `&str` and escapes are pushed as UTF-8, so the
+        // bytes are valid UTF-8.
+        String::from_utf8(out).map_err(|_| format!("non-utf8 string at byte {}", self.i))
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
+            self.i += 1;
+        }
+        self.i - start
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
         match self.peek() {
             Some(b'0') => self.i += 1,
             Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                    self.i += 1;
-                }
+                self.digits();
             }
             _ => return self.err("expected a digit"),
         }
+        let mut integral = true;
         if self.peek() == Some(b'.') {
             self.i += 1;
-            if !matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
+            integral = false;
+            if self.digits() == 0 {
                 return self.err("expected a fraction digit");
-            }
-            while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                self.i += 1;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.i += 1;
+            integral = false;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            if !matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
+            if self.digits() == 0 {
                 return self.err("expected an exponent digit");
             }
-            while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                self.i += 1;
-            }
         }
-        Ok(())
+        // The scanned bytes are ASCII.
+        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or_default();
+        match text.parse::<i128>() {
+            Ok(i) if integral => Ok(Value::Int(i)),
+            _ => text
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| format!("unparseable number at byte {start}")),
+        }
     }
 }
 
@@ -622,6 +707,18 @@ mod tests {
             assert!(e.contains("byte"), "{bad:?}: error {e:?} has no offset");
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn numbers_keep_their_kind_and_rounding() {
+        // `fixed` rounds exactly as `{:.N}`; an integral `Num` keeps a
+        // fraction (or an exponent past 2^53) so it reads back as a `Num`.
+        assert_eq!(Value::fixed(2.0 / 3.0, 3).to_json(), "0.667");
+        assert_eq!(Value::fixed(7800.0, 3).to_json(), "7800.0");
+        assert_eq!(Value::Num(2f64.powi(60)).to_json(), "1.152921504606847e18");
+        assert!(matches!(parse("7800.0"), Ok(Value::Num(_))));
+        assert!(matches!(parse("18446744073709551615"), Ok(Value::Int(_))));
+        assert_eq!(Value::fixed(f64::NAN, 2).to_json(), "null");
     }
 
     #[test]

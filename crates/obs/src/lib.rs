@@ -21,7 +21,8 @@
 //! Exporters: [`chrome::export`] writes a `chrome://tracing`/Perfetto
 //! JSON file (nodes → processes, threads → tracks);
 //! [`report::full_report`] renders paper-style tables from a snapshot;
-//! [`MetricsSnapshot::to_json`] serializes the registries.
+//! [`MetricsSnapshot::to_value`] builds the registries as a
+//! [`json::Value`], which [`json`] serializes (the one JSON writer).
 //!
 //! # Examples
 //!

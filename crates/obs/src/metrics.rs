@@ -7,11 +7,12 @@
 //! deterministic.
 
 use std::collections::BTreeMap;
-use std::fmt::Write;
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, Layer};
+use crate::json::Value;
+use crate::obj;
 
 /// Number of log2 duration buckets (bucket `i` holds durations with
 /// `floor(log2(ns)) == i`, clamped; bucket 0 also holds 0ns).
@@ -87,6 +88,23 @@ impl Histogram {
             .unwrap_or(0);
         1u64 << (last + 1)
     }
+
+    /// The buckets plus p50/p95/p99 as a JSON object. `sparse` lists only
+    /// the non-empty buckets, as `[index, count]` pairs (stream frames).
+    pub(crate) fn to_value(&self, sparse: bool) -> Value {
+        let buckets = if sparse {
+            let nonzero = self.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+            Value::arr(nonzero.map(|(i, &c)| Value::arr([i as u64, c])))
+        } else {
+            Value::arr(self.buckets)
+        };
+        obj! {
+            "buckets" => buckets,
+            "p50" => self.percentile(50.0),
+            "p95" => self.percentile(95.0),
+            "p99" => self.percentile(99.0),
+        }
+    }
 }
 
 /// Per-node aggregates: simulated time and event counts per layer.
@@ -124,6 +142,19 @@ pub struct KindAgg {
     pub min_ns: u64,
     /// Longest span, ns.
     pub max_ns: u64,
+}
+
+impl KindAgg {
+    /// The row as a JSON object (snapshots and stream frames alike).
+    pub(crate) fn to_value(&self) -> Value {
+        obj! {
+            "name" => &self.name,
+            "count" => self.count,
+            "total_ns" => self.total_ns,
+            "min_ns" => self.min_ns,
+            "max_ns" => self.max_ns,
+        }
+    }
 }
 
 /// Per-page protocol activity ("why did this page bounce?").
@@ -189,92 +220,47 @@ impl MetricsSnapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Serializes the snapshot as deterministic JSON (hand-rolled: the
-    /// workspace's `serde` is an offline marker shim).
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(4096);
-        j.push_str("{\n  \"dropped_events\": ");
-        let _ = write!(j, "{}", self.dropped_events);
-        j.push_str(",\n  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
+    /// The snapshot as a JSON tree (the shape every artifact embeds and
+    /// [`MetricsSnapshot::from_value`] reads back).
+    pub fn to_value(&self) -> Value {
+        let nodes = self.nodes.iter().map(|n| {
+            let per_layer = |xs: &[u64; Layer::COUNT]| -> Value {
+                Layer::ALL.iter().map(|l| (l.name(), xs[l.index()])).collect()
+            };
+            obj! {
+                "node" => n.node,
+                "layer_ns" => per_layer(&n.layer_ns),
+                "layer_events" => per_layer(&n.layer_events),
             }
-            j.push_str("\n    {\"node\": ");
-            let _ = write!(j, "{}", n.node);
-            j.push_str(", \"layer_ns\": {");
-            for (k, l) in Layer::ALL.iter().enumerate() {
-                if k > 0 {
-                    j.push_str(", ");
-                }
-                let _ = write!(j, "\"{}\": {}", l.name(), n.layer_ns[l.index()]);
+        });
+        let hists: Value = Layer::ALL
+            .iter()
+            .map(|l| (l.name(), self.hists[l.index()].to_value(false)))
+            .collect();
+        let pages = self.pages.iter().map(|p| {
+            obj! {
+                "page" => p.page,
+                "faults" => p.faults,
+                "fetches" => p.fetches,
+                "diffs" => p.diffs,
+                "invals" => p.invals,
+                "migrates" => p.migrates,
+                "sharers" => p.sharers(),
+                "handoffs" => p.handoffs,
             }
-            j.push_str("}, \"layer_events\": {");
-            for (k, l) in Layer::ALL.iter().enumerate() {
-                if k > 0 {
-                    j.push_str(", ");
-                }
-                let _ = write!(j, "\"{}\": {}", l.name(), n.layer_events[l.index()]);
-            }
-            j.push_str("}}");
+        });
+        obj! {
+            "dropped_events" => self.dropped_events,
+            "nodes" => Value::arr(nodes),
+            "kinds" => Value::arr(self.kinds.iter().map(KindAgg::to_value)),
+            "hists" => hists,
+            "pages" => Value::arr(pages),
+            "gauges" => self.gauges.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Value>(),
         }
-        j.push_str("\n  ],\n  \"kinds\": [");
-        for (i, k) in self.kinds.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                k.name, k.count, k.total_ns, k.min_ns, k.max_ns
-            );
-        }
-        j.push_str("\n  ],\n  \"hists\": {");
-        for (i, l) in Layer::ALL.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let h = &self.hists[l.index()];
-            let _ = write!(j, "\n    \"{}\": {{\"buckets\": [", l.name());
-            for (b, v) in h.buckets.iter().enumerate() {
-                if b > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "{v}");
-            }
-            let _ = write!(
-                j,
-                "], \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0)
-            );
-        }
-        j.push_str("\n  },\n  \"pages\": [");
-        for (i, p) in self.pages.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"page\": {}, \"faults\": {}, \"fetches\": {}, \"diffs\": {}, \"invals\": {}, \"migrates\": {}, \"sharers\": {}, \"handoffs\": {}}}",
-                p.page, p.faults, p.fetches, p.diffs, p.invals, p.migrates,
-                p.sharers(), p.handoffs
-            );
-        }
-        j.push_str("\n  ],\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(j, "\n    \"{name}\": {v}");
-        }
-        j.push_str("\n  }\n}\n");
-        j
     }
 
     /// Reconstructs a snapshot from a parsed [`crate::json::Value`] tree
-    /// with the [`MetricsSnapshot::to_json`] shape — the `cablestat` CLI's
+    /// with the [`MetricsSnapshot::to_value`] shape — the `cablestat` CLI's
     /// loader. Lossy only where the export is: the serialized `sharers`
     /// count cannot recover *which* nodes shared a page, so `nodes_mask`
     /// is rebuilt with that many low bits set (`sharers()` round-trips).
@@ -534,8 +520,8 @@ mod tests {
         let a = r.snapshot(0);
         let b = r.snapshot(0);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_value().to_pretty(), b.to_value().to_pretty());
         assert_eq!(a.gauge("sync.mutex.max_waiters"), Some(4));
-        crate::json::validate(&a.to_json()).expect("snapshot JSON parses");
+        crate::json::validate(&a.to_value().to_pretty()).expect("snapshot JSON parses");
     }
 }

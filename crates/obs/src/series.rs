@@ -49,9 +49,11 @@
 use std::sync::Arc;
 
 use crate::event::{EdgeKind, Event, Layer, NIC_TRACK};
+use crate::json::Value;
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
+use crate::obj;
 use crate::stall::{bucket_for_kind, Bucket, BUCKETS};
-use crate::stream::FrameRing;
+use crate::stream::{sparse, FrameRing};
 
 /// Default sample window when neither the caller nor the environment
 /// picks one: 64µs of simulated time (a smoke FFT run is a few ms, so
@@ -558,47 +560,38 @@ pub fn windowed_table(frames: &[DeltaFrame]) -> Vec<WindowRow> {
         .collect()
 }
 
-/// Serializes table rows as a JSON array (the `"windows"` section of
-/// `BENCH_obs_*.json`).
-pub fn window_table_json(rows: &[WindowRow]) -> String {
-    use std::fmt::Write as _;
-    let mut j = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(
-            j,
-            "\n      {{\"start_ns\": {}, \"end_ns\": {}, \"merged\": {}, \"events\": {}, \"faults\": {}, \"fetches\": {}, \"diffs\": {}, \"invals\": {}, ",
-            r.start_ns, r.end_ns, r.merged, r.events, r.faults, r.fetches, r.diffs, r.invals
-        );
-        // Sparse, like the stall buckets below: policy-off runs never
-        // migrate, keeping their artifacts byte-identical to before the
-        // column existed.
+/// Table rows as a JSON array (the `"windows"` section of
+/// `BENCH_obs_*.json`). `migrates` and the stall buckets are sparse:
+/// policy-off runs never migrate, and zero buckets are omitted.
+pub fn window_table_value(rows: &[WindowRow]) -> Value {
+    Value::arr(rows.iter().map(|r| {
+        let mut row = obj! {
+            "start_ns" => r.start_ns,
+            "end_ns" => r.end_ns,
+            "merged" => r.merged,
+            "events" => r.events,
+            "faults" => r.faults,
+            "fetches" => r.fetches,
+            "diffs" => r.diffs,
+            "invals" => r.invals,
+        };
         if r.migrates > 0 {
-            let _ = write!(j, "\"migrates\": {}, ", r.migrates);
+            row.push("migrates", r.migrates);
         }
-        j.push_str("\"stall_ns\": {");
-        let mut first = true;
-        for b in Bucket::ALL {
-            let v = r.stall_ns[b as usize];
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                j.push_str(", ");
-            }
-            first = false;
-            let _ = write!(j, "\"{}\": {}", b.name(), v);
+        row.push("stall_ns", sparse(Bucket::ALL.iter().map(|b| b.name()), &r.stall_ns));
+        for (k, v) in [
+            ("san_p50", r.san_p[0]),
+            ("san_p95", r.san_p[1]),
+            ("san_p99", r.san_p[2]),
+            ("svc", r.svc),
+            ("svc_p50", r.svc_p[0]),
+            ("svc_p95", r.svc_p[1]),
+            ("svc_p99", r.svc_p[2]),
+        ] {
+            row.push(k, v);
         }
-        let _ = write!(
-            j,
-            "}}, \"san_p50\": {}, \"san_p95\": {}, \"san_p99\": {}, \"svc\": {}, \"svc_p50\": {}, \"svc_p95\": {}, \"svc_p99\": {}}}",
-            r.san_p[0], r.san_p[1], r.san_p[2], r.svc, r.svc_p[0], r.svc_p[1], r.svc_p[2]
-        );
-    }
-    j.push_str("\n    ]");
-    j
+        row
+    }))
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{EdgeKind, Event, EventRecord};
+use crate::json::Value;
 use crate::metrics::MetricsSnapshot;
+use crate::obj;
 
 /// Sharing profile of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,34 +272,26 @@ impl SharingReport {
         out
     }
 
-    /// Serializes the report as deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(512);
-        let _ = write!(
-            j,
-            "{{\n  \"total_diff_bytes\": {},\n  \"total_fetch_wait_ns\": {},\n  \"pages\": [",
-            self.total_diff_bytes, self.total_fetch_wait_ns
-        );
-        for (i, p) in self.pages.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
+    /// The report as a JSON tree.
+    pub fn to_value(&self) -> Value {
+        let pages = self.pages.iter().map(|p| {
+            obj! {
+                "page" => p.page,
+                "sharers" => p.sharers,
+                "faults" => p.faults,
+                "fetches" => p.fetches,
+                "diffs" => p.diffs,
+                "diff_bytes" => p.diff_bytes,
+                "invals" => p.invals,
+                "handoffs" => p.handoffs,
+                "fetch_wait_ns" => p.fetch_wait_ns,
             }
-            let _ = write!(
-                j,
-                "\n    {{\"page\": {}, \"sharers\": {}, \"faults\": {}, \"fetches\": {}, \"diffs\": {}, \"diff_bytes\": {}, \"invals\": {}, \"handoffs\": {}, \"fetch_wait_ns\": {}}}",
-                p.page,
-                p.sharers,
-                p.faults,
-                p.fetches,
-                p.diffs,
-                p.diff_bytes,
-                p.invals,
-                p.handoffs,
-                p.fetch_wait_ns
-            );
+        });
+        obj! {
+            "total_diff_bytes" => self.total_diff_bytes,
+            "total_fetch_wait_ns" => self.total_fetch_wait_ns,
+            "pages" => Value::arr(pages),
         }
-        j.push_str("\n  ]\n}\n");
-        j
     }
 }
 
@@ -353,7 +347,7 @@ mod tests {
         assert_eq!(rep.pages[1].page, 8);
         assert_eq!(rep.pages[1].sharers, 1);
         assert_eq!(rep.total_diff_bytes, 128);
-        let json = rep.to_json();
+        let json = rep.to_value().to_pretty();
         crate::json::validate(&json).expect("sharing JSON parses");
         assert!(rep.render("T", 10).contains("p5"));
 

@@ -34,6 +34,8 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::event::{EdgeKind, Event, EventRecord, NIC_TRACK};
+use crate::json::Value;
+use crate::obj;
 
 /// The stall buckets, in display order. `Compute` is the residue bucket;
 /// the other eight come from classified spans. Declaration order doubles
@@ -427,50 +429,35 @@ impl StallProfile {
         out
     }
 
-    /// Deterministic JSON (hand-rolled — the workspace `serde` is an
-    /// offline marker shim).
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(1024);
-        let _ = write!(
-            j,
-            "{{\n  \"slice_ns\": {},\n  \"lifetime_ns\": {},",
-            self.slice_ns,
-            self.lifetime_ns()
-        );
-        let buckets = |j: &mut String, indent: &str, b: &[u64; BUCKETS]| {
-            for (i, bk) in Bucket::ALL.iter().enumerate() {
-                if i > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\n{indent}\"{}\": {}", bk.name(), b[i]);
+    /// The profile as a JSON tree: lifetime totals, then per-thread and
+    /// per-slice bucket rows.
+    pub fn to_value(&self) -> Value {
+        let with_buckets = |mut row: Value, b: &[u64; BUCKETS]| {
+            for bk in Bucket::ALL {
+                row.push(bk.name(), b[bk as usize]);
             }
+            row
         };
-        j.push_str("\n  \"totals\": {");
-        buckets(&mut j, "    ", &self.totals());
-        j.push_str("\n  },\n  \"threads\": [");
-        for (i, t) in self.threads.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"node\": {}, \"track\": {}, \"start_ns\": {}, \"end_ns\": {},",
-                t.node, t.track, t.start_ns, t.end_ns
-            );
-            buckets(&mut j, "     ", &t.buckets);
-            j.push('}');
+        let threads = self.threads.iter().map(|t| {
+            let row = obj! {
+                "node" => t.node,
+                "track" => t.track,
+                "start_ns" => t.start_ns,
+                "end_ns" => t.end_ns,
+            };
+            with_buckets(row, &t.buckets)
+        });
+        let slices = self
+            .slices
+            .iter()
+            .map(|s| with_buckets(obj! { "start_ns" => s.start_ns }, &s.buckets));
+        obj! {
+            "slice_ns" => self.slice_ns,
+            "lifetime_ns" => self.lifetime_ns(),
+            "totals" => with_buckets(obj! {}, &self.totals()),
+            "threads" => Value::arr(threads),
+            "slices" => Value::arr(slices),
         }
-        j.push_str("\n  ],\n  \"slices\": [");
-        for (i, s) in self.slices.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(j, "\n    {{\"start_ns\": {},", s.start_ns);
-            buckets(&mut j, "     ", &s.buckets);
-            j.push('}');
-        }
-        j.push_str("\n  ]\n}\n");
-        j
     }
 }
 
@@ -568,12 +555,12 @@ mod tests {
         assert_eq!(p.threads.len(), 1);
         let folded = p.collapsed();
         assert!(folded.contains("node0;t1;mutex_wait 50"));
-        crate::json::validate(&p.to_json()).expect("stall JSON parses");
+        crate::json::validate(&p.to_value().to_pretty()).expect("stall JSON parses");
         let text = p.render("TEST");
         assert!(text.contains("per-thread stall profile"));
         // Determinism: same input, same bytes.
         let q = analyze(&evs, 0, 16).unwrap();
         assert_eq!(p, q);
-        assert_eq!(p.to_json(), q.to_json());
+        assert_eq!(p.to_value().to_pretty(), q.to_value().to_pretty());
     }
 }

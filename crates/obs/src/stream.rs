@@ -19,7 +19,7 @@
 //!   [`crate::json`], the repo's own parser);
 //! - frame `seq` values are dense from 0 (a dropped line is detectable);
 //! - the `end` line embeds the final [`MetricsSnapshot`]
-//!   ([`MetricsSnapshot::to_json`] shape), so a stream is
+//!   ([`MetricsSnapshot::to_value`] shape), so a stream is
 //!   *self-verifying*: folding the frames must reproduce the embedded
 //!   snapshot exactly ([`Stream::verify_fold`], enforced by
 //!   `cablestat series`/`check` and the benches).
@@ -31,12 +31,12 @@
 //! `[index, count]` pairs.
 
 use std::cell::UnsafeCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::event::Layer;
 use crate::json::{self, Value};
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
+use crate::obj;
 use crate::series::DeltaFrame;
 use crate::stall::{Bucket, BUCKETS};
 
@@ -184,146 +184,85 @@ impl FrameRing {
 
 /// The stream's header line.
 pub fn header_line(kernel: &str, sample_ns: u64) -> String {
-    format!(
-        "{{\"type\":\"header\",\"version\":{STREAM_VERSION},\"kernel\":\"{kernel}\",\"sample_ns\":{sample_ns}}}"
-    )
+    obj! {
+        "type" => "header",
+        "version" => STREAM_VERSION,
+        "kernel" => kernel,
+        "sample_ns" => sample_ns,
+    }
+    .to_json()
+}
+
+/// The non-zero entries of `xs` keyed by `names` (the sparse maps of
+/// frame lines and window rows).
+pub(crate) fn sparse<'a>(names: impl Iterator<Item = &'a str>, xs: &[u64]) -> Value {
+    names.zip(xs).filter(|(_, &v)| v > 0).map(|(k, &v)| (k, v)).collect()
 }
 
 /// One frame as a single NDJSON line (no trailing newline).
 pub fn frame_line(f: &DeltaFrame) -> String {
-    let mut j = String::with_capacity(256);
-    let _ = write!(
-        j,
-        "{{\"type\":\"frame\",\"seq\":{},\"start_ns\":{},\"end_ns\":{},\"merged\":{},\"stall\":{{",
-        f.seq, f.start_ns, f.end_ns, f.merged
-    );
-    let mut first = true;
-    for b in Bucket::ALL {
-        let v = f.stall_ns[b as usize];
-        if v == 0 {
-            continue;
-        }
-        if !first {
-            j.push(',');
-        }
-        first = false;
-        let _ = write!(j, "\"{}\":{}", b.name(), v);
-    }
     let d = &f.delta;
-    let _ = write!(j, "}},\"delta\":{{\"dropped_events\":{},\"nodes\":[", d.dropped_events);
-    for (i, n) in d.nodes.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
+    let layer_names = || Layer::ALL.iter().map(|l| l.name());
+    let nodes = d.nodes.iter().map(|n| {
+        obj! {
+            "node" => n.node,
+            "ns" => sparse(layer_names(), &n.layer_ns),
+            "events" => sparse(layer_names(), &n.layer_events),
         }
-        let _ = write!(j, "{{\"node\":{},\"ns\":{{", n.node);
-        let mut first = true;
-        for l in Layer::ALL {
-            let v = n.layer_ns[l.index()];
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                j.push(',');
-            }
-            first = false;
-            let _ = write!(j, "\"{}\":{}", l.name(), v);
+    });
+    let hists: Value = Layer::ALL
+        .iter()
+        .map(|l| (l.name(), &d.hists[l.index()]))
+        .filter(|(_, h)| h.buckets.iter().any(|&b| b > 0))
+        .map(|(name, h)| (name, h.to_value(true)))
+        .collect();
+    let pages = d.pages.iter().map(|p| {
+        obj! {
+            "page" => p.page,
+            "faults" => p.faults,
+            "fetches" => p.fetches,
+            "diffs" => p.diffs,
+            "invals" => p.invals,
+            "migrates" => p.migrates,
+            "mask" => p.nodes_mask,
+            "handoffs" => p.handoffs,
         }
-        j.push_str("},\"events\":{");
-        let mut first = true;
-        for l in Layer::ALL {
-            let v = n.layer_events[l.index()];
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                j.push(',');
-            }
-            first = false;
-            let _ = write!(j, "\"{}\":{}", l.name(), v);
-        }
-        j.push_str("}}");
+    });
+    let delta = obj! {
+        "dropped_events" => d.dropped_events,
+        "nodes" => Value::arr(nodes),
+        "kinds" => Value::arr(d.kinds.iter().map(KindAgg::to_value)),
+        "hists" => hists,
+        "pages" => Value::arr(pages),
+        "gauges" => d.gauges.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Value>(),
+    };
+    obj! {
+        "type" => "frame",
+        "seq" => f.seq,
+        "start_ns" => f.start_ns,
+        "end_ns" => f.end_ns,
+        "merged" => f.merged,
+        "stall" => sparse(Bucket::ALL.iter().map(|b| b.name()), &f.stall_ns),
+        "delta" => delta,
     }
-    j.push_str("],\"kinds\":[");
-    for (i, k) in d.kinds.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(
-            j,
-            "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-            k.name, k.count, k.total_ns, k.min_ns, k.max_ns
-        );
-    }
-    j.push_str("],\"hists\":{");
-    let mut first_h = true;
-    for l in Layer::ALL {
-        let h = &d.hists[l.index()];
-        if h.buckets.iter().all(|&b| b == 0) {
-            continue;
-        }
-        if !first_h {
-            j.push(',');
-        }
-        first_h = false;
-        let _ = write!(j, "\"{}\":{{\"buckets\":[", l.name());
-        let mut first = true;
-        for (i, &b) in h.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if !first {
-                j.push(',');
-            }
-            first = false;
-            let _ = write!(j, "[{i},{b}]");
-        }
-        let _ = write!(
-            j,
-            "],\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            h.percentile(50.0),
-            h.percentile(95.0),
-            h.percentile(99.0)
-        );
-    }
-    j.push_str("},\"pages\":[");
-    for (i, p) in d.pages.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(
-            j,
-            "{{\"page\":{},\"faults\":{},\"fetches\":{},\"diffs\":{},\"invals\":{},\"migrates\":{},\"mask\":{},\"handoffs\":{}}}",
-            p.page, p.faults, p.fetches, p.diffs, p.invals, p.migrates, p.nodes_mask, p.handoffs
-        );
-    }
-    j.push_str("],\"gauges\":{");
-    for (i, (name, v)) in d.gauges.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(j, "\"{name}\":{v}");
-    }
-    j.push_str("}}}");
-    j
+    .to_json()
 }
 
-/// The stream's end line, embedding the final snapshot (compacted onto
-/// one line).
+/// The stream's end line, embedding the final snapshot.
 pub fn end_line(
     sim_time_ns: u64,
     frames: u64,
     overflow_merges: u64,
     snapshot: &MetricsSnapshot,
 ) -> String {
-    let compact: String = snapshot
-        .to_json()
-        .lines()
-        .map(|l| l.trim_start())
-        .collect::<Vec<_>>()
-        .join("");
-    format!(
-        "{{\"type\":\"end\",\"sim_time_ns\":{sim_time_ns},\"frames\":{frames},\"overflow_merges\":{overflow_merges},\"snapshot\":{compact}}}"
-    )
+    obj! {
+        "type" => "end",
+        "sim_time_ns" => sim_time_ns,
+        "frames" => frames,
+        "overflow_merges" => overflow_merges,
+        "snapshot" => snapshot.to_value(),
+    }
+    .to_json()
 }
 
 /// A parsed stream header.
@@ -379,8 +318,8 @@ impl Stream {
             ));
         }
         let folded = crate::series::fold(self.frames.iter());
-        let a = folded.to_json();
-        let b = end.snapshot.to_json();
+        let a = folded.to_value().to_json();
+        let b = end.snapshot.to_value().to_json();
         if a != b {
             let at = a
                 .bytes()

@@ -12,8 +12,9 @@
 #                                    an injected 1.5x sim_time_ns
 #                                    regression — and that
 #                                    `cablestat explain` attributes it to
-#                                    the inflated stall bucket — before
-#                                    gating for real
+#                                    the inflated stall bucket — and on a
+#                                    flipped checksum and a dropped cell,
+#                                    before gating for real
 #   scripts/perfgate.sh --rebase     refresh baselines/ from a fresh
 #                                    smoke run (then commit them)
 #   scripts/perfgate.sh --no-regen   gate the artifacts already on disk
@@ -22,9 +23,13 @@
 # When the real gate fails, `cablestat explain` runs automatically on
 # each regressed artifact and prints the ranked root-cause report.
 #
+# The gated artifacts are exactly the files in baselines/.
+#
 # Tolerances: PERFGATE_ABS (absolute units, default 0) and PERFGATE_REL
 # (percent, default 2.0). A delta must exceed BOTH to be significant,
-# and only significant deltas in the worse direction gate.
+# and only significant deltas in the worse direction gate — except that
+# a changed checksum/digest/fingerprint, or a baseline path missing from
+# the candidate, always fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,10 +37,10 @@ CARGO_FLAGS=${CARGO_FLAGS:---offline}
 ABS=${PERFGATE_ABS:-0}
 REL=${PERFGATE_REL:-2.0}
 
-BENCHES=(obs_report critpath protocol_opt ablations service_bench placement)
-ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json
-           BENCH_critpath.json BENCH_protocol.json BENCH_ablations.json
-           BENCH_service.json BENCH_placement.json)
+ARTIFACTS=()
+for b in baselines/BENCH_*.json; do
+    ARTIFACTS+=("$(basename "$b")")
+done
 
 regen=1 selftest=0 rebase=0
 for arg in "$@"; do
@@ -52,10 +57,8 @@ cargo build $CARGO_FLAGS --release -p cables-bench --bin cablestat
 CABLESTAT=target/release/cablestat
 
 if (( regen )); then
-    for b in "${BENCHES[@]}"; do
-        echo "==> regenerate (smoke): cargo bench --bench $b -- --test"
-        cargo bench $CARGO_FLAGS -p cables-bench --bench "$b" -- --test > /dev/null
-    done
+    source scripts/benches.sh
+    run_benches --test > /dev/null
 fi
 
 # Baselines are smoke-mode snapshots; refuse to gate full-size artifacts
@@ -102,7 +105,23 @@ if (( selftest )); then
         "$CABLESTAT" explain baselines/BENCH_obs_FFT.json "$tmp" --abs "$ABS" --rel "$REL" >&2 || true
         exit 1
     fi
-    echo "perfgate: selftest OK (injected regression caught and attributed)"
+    echo "==> selftest: the gate must trip on a flipped checksum and on a dropped cell"
+    "$CABLESTAT" inflate BENCH_placement.json "$tmp" checksum 0.5 > /dev/null
+    if "$CABLESTAT" diff baselines/BENCH_placement.json "$tmp" \
+            --abs "$ABS" --rel "$REL" --gate > /dev/null 2>&1; then
+        echo "perfgate: SELFTEST FAILED — a changed checksum passed the gate" >&2
+        exit 1
+    fi
+    python3 -c 'import json, sys
+d = json.load(open(sys.argv[1]))
+d["workloads"] = d["workloads"][:1]
+json.dump(d, open(sys.argv[2], "w"))' BENCH_placement.json "$tmp"
+    if "$CABLESTAT" diff baselines/BENCH_placement.json "$tmp" \
+            --abs "$ABS" --rel "$REL" --gate > /dev/null 2>&1; then
+        echo "perfgate: SELFTEST FAILED — a dropped cell passed the gate" >&2
+        exit 1
+    fi
+    echo "perfgate: selftest OK (regression caught and attributed; checksum flip and dropped cell caught)"
 fi
 
 status=0

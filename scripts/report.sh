@@ -42,8 +42,8 @@
 # The obs/protocol runs execute each kernel twice (bus off, then on) and
 # assert the simulated result is bit-identical, so a successful exit also
 # re-proves the observability layer is free. The script fails (non-zero
-# exit) if any expected artifact is missing or empty afterwards — a bench
-# that silently stopped emitting is a broken report, not a quiet success.
+# exit) if any bench fails or writes no BENCH_*.json — a bench that
+# silently stopped emitting is a broken report, not a quiet success.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,42 +55,12 @@ CARGO_FLAGS=${CARGO_FLAGS:---offline}
 # default. Override with CABLES_ENGINE_MODE=sequential to cross-check.
 export CABLES_ENGINE_MODE=${CABLES_ENGINE_MODE:-parallel}
 
-ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json
-           BENCH_chaos.json BENCH_protocol.json BENCH_critpath.json
-           BENCH_table3.json BENCH_table4.json BENCH_table5.json
-           BENCH_table6.json BENCH_fig5.json BENCH_fig6.json
-           BENCH_ablations.json BENCH_service.json BENCH_placement.json
-           target/artifacts/trace_fft.json
-           target/artifacts/stream_FFT.ndjson
-           target/artifacts/stream_RADIX.ndjson
-           target/artifacts/stream_CHAOS_FFT.ndjson
-           target/artifacts/stream_service.ndjson)
-
-# Drop stale copies first so a bench that no longer writes its artifact
-# cannot pass the check below on a leftover file.
-rm -f "${ARTIFACTS[@]}"
-
-cargo bench $CARGO_FLAGS -p cables-bench --bench obs_report
-cargo bench $CARGO_FLAGS -p cables-bench --bench critpath
-cargo bench $CARGO_FLAGS -p cables-bench --bench chaos_soak
-cargo bench $CARGO_FLAGS -p cables-bench --bench protocol_opt
-cargo bench $CARGO_FLAGS -p cables-bench --bench table3
-cargo bench $CARGO_FLAGS -p cables-bench --bench table4
-cargo bench $CARGO_FLAGS -p cables-bench --bench table5
-cargo bench $CARGO_FLAGS -p cables-bench --bench table6
-cargo bench $CARGO_FLAGS -p cables-bench --bench fig5
-cargo bench $CARGO_FLAGS -p cables-bench --bench fig6
-cargo bench $CARGO_FLAGS -p cables-bench --bench ablations
-cargo bench $CARGO_FLAGS -p cables-bench --bench service_bench
-cargo bench $CARGO_FLAGS -p cables-bench --bench placement
-
-status=0
-for f in "${ARTIFACTS[@]}"; do
-    if [[ ! -s "$f" ]]; then
-        echo "report: missing or empty artifact: $f" >&2
-        status=1
-    fi
-done
+# Drop stale exports first so the summary below reads only this run's.
+rm -rf target/artifacts
+source scripts/benches.sh
+# engine_wall is left out: it measures host time, not a paper result, and
+# takes ~5 min at full size (run it by hand to refresh BENCH_hotpath.json).
+run_benches --skip engine_wall
 
 # Cross-PR summary: one table over every BENCH_*.json in the repo root
 # (including artifacts produced by earlier PRs' benches, e.g.
@@ -233,5 +203,3 @@ for path in sorted(glob.glob("BENCH_*.json")):
 print("=" * 72)
 PYEOF
 fi
-
-exit $status

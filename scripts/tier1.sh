@@ -25,40 +25,40 @@ echo "==> cargo test --workspace (engine: parallel_det, audited green threads)"
 CABLES_ENGINE_MODE=parallel_det cargo test $CARGO_FLAGS --workspace -q
 
 if [[ "${1:-}" == "--smoke" ]]; then
-    for bench in table3 table4 table5 table6 fig5 fig6 ablations engine_wall obs_report critpath chaos_soak protocol_opt service_bench placement; do
-        echo "==> cargo bench --bench $bench -- --test"
-        cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test
-    done
+    # Every bench target in its smoke mode; each must write a BENCH_*.json
+    # (the full-size-only ones land under target/artifacts/). Stale
+    # exports are dropped first so a bench that stopped writing cannot
+    # pass on a leftover file.
+    rm -rf target/artifacts
+    source scripts/benches.sh
+    run_benches --test
     # (The protocol_opt smoke run itself enforces the protocol-traffic
     # ceilings: all-on must beat all-off on message counts and stay
     # under the smoke-size ceilings, or the bench panics.)
-    # Every BENCH artifact must parse against the repo's own JSON
-    # grammar (obs::json, via cablestat) — the same validator the diff
-    # gate relies on. The NDJSON metric streams the obs_report and
-    # chaos_soak smokes just produced are held to the stream grammar too,
+    # Every JSON artifact must parse against the repo's own JSON grammar
+    # (obs::json, via cablestat) — the same parser the diff gate relies
+    # on. The NDJSON metric streams are held to the stream grammar too,
     # including the frames-fold-to-final-snapshot exactness check.
-    echo "==> cablestat check BENCH_*.json + stream_*.ndjson"
-    ./target/release/cablestat check BENCH_*.json target/artifacts/trace_fft.json
-    ./target/release/cablestat check --dir target/artifacts \
-        stream_FFT.ndjson stream_RADIX.ndjson stream_CHAOS_FFT.ndjson \
-        stream_service.ndjson
+    echo "==> cablestat check BENCH_*.json target/artifacts/*.json target/artifacts/*.ndjson"
+    ./target/release/cablestat check BENCH_*.json target/artifacts/*.json target/artifacts/*.ndjson
     # The stream tooling itself: `series` must fold + verify each stream
     # (exit 1 on divergence), `tail` must render a completed stream.
     echo "==> cablestat series / tail smoke"
-    ./target/release/cablestat series stream_FFT.ndjson > /dev/null
-    ./target/release/cablestat series stream_CHAOS_FFT.ndjson --json > /dev/null
-    ./target/release/cablestat series stream_service.ndjson > /dev/null
-    ./target/release/cablestat tail stream_RADIX.ndjson > /dev/null
-    ./target/release/cablestat tail stream_service.ndjson > /dev/null
-    # The observability artifacts must also be machine-readable by an
-    # independent parser (python is the neutral referee; skip quietly if
-    # it is unavailable).
-    if command -v python3 >/dev/null 2>&1; then
-        for f in BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json BENCH_critpath.json BENCH_chaos.json BENCH_protocol.json BENCH_ablations.json BENCH_service.json BENCH_placement.json BENCH_table3.json BENCH_table4.json BENCH_table5.json target/artifacts/trace_fft.json; do
-            echo "==> validate $f"
-            python3 -m json.tool "$f" > /dev/null
-        done
+    for s in target/artifacts/stream_*.ndjson; do
+        ./target/release/cablestat series "$s" --json > /dev/null
+        ./target/release/cablestat tail "$s" > /dev/null
+    done
+    # The same artifacts must also be machine-readable by an independent
+    # parser: python is the neutral referee, and a missing referee is a
+    # failure, not a skip.
+    if ! command -v python3 >/dev/null 2>&1; then
+        echo "tier1: python3 is required to referee the JSON artifacts" >&2
+        exit 1
     fi
+    for f in BENCH_*.json target/artifacts/*.json; do
+        echo "==> python3 -m json.tool $f"
+        python3 -m json.tool "$f" > /dev/null
+    done
     # Causal edges must survive export: the trace carries Perfetto flow
     # events (ph "s"/"f" pairs) linking cause to effect across lanes.
     echo "==> check flow events in target/artifacts/trace_fft.json"

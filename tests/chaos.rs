@@ -54,7 +54,7 @@ fn fft_run(
     (
         end.as_nanos(),
         chrome::export(&events),
-        sink.snapshot().to_json(),
+        sink.snapshot().to_value().to_json(),
         cluster.chaos().map(|c| c.stats()),
         sys.cables_rt().expect("cables backend").stats(),
         checksum,

@@ -101,7 +101,7 @@ fn fft_observed() -> (u64, String, String, usize) {
     (
         end.as_nanos(),
         chrome::export(&events),
-        sink.snapshot().to_json(),
+        sink.snapshot().to_value().to_json(),
         edges,
     )
 }

@@ -182,7 +182,7 @@ fn splash_observe(
     (
         end.as_nanos(),
         chrome::export(&events),
-        sink.snapshot().to_json(),
+        sink.snapshot().to_value().to_json(),
         events.len(),
         cluster.engine.stats(),
     )
@@ -269,7 +269,7 @@ fn chaos_replay_identical_across_modes() {
         (
             end.as_nanos(),
             chrome::export(&sink.events()),
-            sink.snapshot().to_json(),
+            sink.snapshot().to_value().to_json(),
             stats.wire_faults,
             stats.retries,
             stats.recoveries,

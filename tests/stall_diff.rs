@@ -3,9 +3,12 @@
 //! the per-thread stall buckets must partition each thread's recorded
 //! lifetime exactly and the time-sliced series must sum back to the
 //! whole-run totals; `obs::diff` must be empty on identical inputs,
-//! deterministic, and monotone in its significance thresholds; and the
-//! log2-histogram percentile estimator must survive its edge cases
-//! (empty, single-bucket, saturated) and stay monotone in `p`.
+//! deterministic, and monotone in its significance thresholds, and its
+//! gate must trip on changed checksums and removed paths; `obs::json`
+//! must write valid JSON for any tree, in both layouts, with exact
+//! integers; and the log2-histogram percentile estimator must survive
+//! its edge cases (empty, single-bucket, saturated) and stay monotone in
+//! `p`.
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
@@ -246,7 +249,8 @@ proptest! {
 
         let d1 = diff(&av, &bv, &none);
         let d2 = diff(&av, &bv, &none);
-        prop_assert_eq!(d1.to_json(), d2.to_json(), "diff is not deterministic");
+        let (j1, j2) = (d1.to_value().to_json(), d2.to_value().to_json());
+        prop_assert_eq!(j1, j2, "diff is not deterministic");
 
         let loose = Thresholds { abs: abs as f64, rel_pct: rel as f64 };
         let tight = Thresholds { abs: (abs * 2) as f64, rel_pct: (rel * 2) as f64 };
@@ -280,6 +284,200 @@ fn diff_regressions_are_directional() {
     let d = diff(&a, &better, &th);
     assert_eq!(d.significant().count(), 1, "the improvement is still significant");
     assert_eq!(d.regressions().count(), 0, "an improvement must not gate");
+}
+
+// ---------------------------------------------------------------------------
+// The one JSON writer: always valid, exact integers, gate identities
+// ---------------------------------------------------------------------------
+
+/// splitmix64: a seed-driven source for the `Value` tree generator below
+/// (the offline proptest shim has no recursive strategies).
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// An arbitrary scalar, biased toward the edges: `u64::MAX`, `i64::MIN`,
+/// NaN and the infinities, subnormals, `-0.0`, and strings carrying
+/// quotes, backslashes, control characters and non-ASCII.
+fn gen_scalar(r: &mut Mix) -> json::Value {
+    use json::Value;
+    match r.below(12) {
+        0 => Value::Null,
+        1 => Value::Bool(r.below(2) == 1),
+        2 => Value::from(u64::MAX),
+        3 => Value::Int(i64::MIN.into()),
+        4 => Value::from(r.next()),
+        5 => Value::Int((r.next() as i64).into()),
+        6 => Value::Num([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][r.below(3) as usize]),
+        7 => Value::Num([-0.0, 5e-324, 1e300, 0.1, -2.5][r.below(5) as usize]),
+        8 => Value::Num(f64::from_bits(r.next())),
+        9 => Value::Num(r.next() as f64 / 1e3),
+        _ => {
+            let alphabet = [
+                'a', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '→', '😀', '/',
+            ];
+            let len = r.below(8);
+            let mut pick = || alphabet[r.below(alphabet.len() as u64) as usize];
+            Value::Str((0..len).map(|_| pick()).collect())
+        }
+    }
+}
+
+/// An arbitrary tree: up to `depth` levels of mixed arrays and objects
+/// (duplicate and empty keys included).
+fn gen_value(r: &mut Mix, depth: u32) -> json::Value {
+    use json::Value;
+    if depth == 0 || r.below(3) == 0 {
+        return gen_scalar(r);
+    }
+    let n = r.below(5);
+    if r.below(2) == 0 {
+        Value::Arr((0..n).map(|_| gen_value(r, depth - 1)).collect())
+    } else {
+        let keys = ["", "k", "k", "smoke", "a\"b"];
+        let mut member = || (keys[r.below(5) as usize].to_string(), gen_value(r, depth - 1));
+        Value::Obj((0..n).map(|_| member()).collect())
+    }
+}
+
+/// What a written tree must parse back as: non-finite numbers become
+/// `null`; everything else is unchanged.
+fn finite_only(v: &json::Value) -> json::Value {
+    use json::Value;
+    match v {
+        Value::Num(n) if !n.is_finite() => Value::Null,
+        Value::Arr(xs) => Value::Arr(xs.iter().map(finite_only).collect()),
+        Value::Obj(m) => Value::Obj(m.iter().map(|(k, x)| (k.clone(), finite_only(x))).collect()),
+        v => v.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both layouts always write valid JSON that parses back equal to
+    /// the tree (non-finite numbers as `null`), for arbitrary trees —
+    /// including chains nested almost to the parser's depth limit.
+    #[test]
+    fn json_writer_round_trips_any_tree(
+        seed in any::<u64>(),
+        chain in 0u64..(json::MAX_DEPTH as u64 - 5),
+    ) {
+        let mut r = Mix(seed);
+        let mut v = gen_value(&mut r, 5);
+        for i in 0..chain {
+            v = if i % 2 == 0 {
+                json::Value::Arr(vec![v])
+            } else {
+                json::Value::Obj(vec![("d".into(), v)])
+            };
+        }
+        let want = finite_only(&v);
+        let compact = v.to_json();
+        prop_assert!(!compact.contains('\n'), "compact layout spans lines");
+        prop_assert_eq!(json::parse(&compact).map_err(|e| e.to_string()), Ok(want.clone()));
+        prop_assert_eq!(json::parse(&v.to_pretty()).map_err(|e| e.to_string()), Ok(want));
+    }
+}
+
+/// Pretty layout: 2-space indent, scalar-only containers on one line.
+#[test]
+fn json_pretty_layout_keeps_flat_containers_on_one_line() {
+    let v = cables_suite::obs::obj! {
+        "smoke" => true,
+        "rows" => vec![cables_suite::obs::obj! { "a" => 1u64, "b" => Some(2.5) }],
+        "empty" => Vec::<u64>::new(),
+        "nan" => f64::NAN,
+    };
+    assert_eq!(
+        v.to_pretty(),
+        "{\n  \"smoke\": true,\n  \"rows\": [\n    {\"a\": 1, \"b\": 2.5}\n  ],\n  \"empty\": [],\n  \"nan\": null\n}\n"
+    );
+    assert_eq!(v.to_json(), r#"{"smoke":true,"rows":[{"a":1,"b":2.5}],"empty":[],"nan":null}"#);
+}
+
+/// Integral literals survive a parse→write round trip exactly (the
+/// committed placement baseline carries checksums above 2^53), and diff
+/// compares them exactly while still equating `5` with `5.0`.
+#[test]
+fn json_integers_are_exact_and_diff_compares_them_exactly() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/baselines/BENCH_placement.json"
+    ))
+    .expect("placement baseline");
+    let v = json::parse(&text).unwrap();
+    let checksum = v.get("workloads").and_then(|w| w.as_arr()).unwrap()[0]
+        .get("off")
+        .and_then(|c| c.get("checksum"))
+        .and_then(json::Value::as_u64)
+        .unwrap();
+    assert!(checksum > 1 << 53, "the baseline no longer exercises exactness");
+    let again = json::parse(&v.to_pretty()).unwrap();
+    assert_eq!(again, v);
+    assert!(v.to_json().contains(&checksum.to_string()));
+
+    let a = json::parse(r#"{"checksum": 13867154720655267719, "t_ns": 5}"#).unwrap();
+    let b = json::parse(r#"{"checksum": 13867154720655268000, "t_ns": 5.0}"#).unwrap();
+    let d = diff(&a, &b, &Thresholds { abs: 1e30, rel_pct: 1e9 });
+    assert_eq!(d.rows.len(), 1, "5 vs 5.0 must compare equal: {:?}", d.rows);
+    assert_eq!(d.rows[0].path, "checksum");
+    assert_eq!(d.rows[0].delta, 281.0);
+    assert!(d.rows[0].regression, "a changed checksum gates whatever the thresholds");
+}
+
+/// The perf gate fails on a flipped checksum and on a dropped cell, and
+/// passes an unchanged artifact.
+#[test]
+fn diff_gate_fails_on_checksum_flip_and_removed_path() {
+    use json::Value;
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/baselines/BENCH_placement.json"
+    ))
+    .expect("placement baseline");
+    let base = json::parse(&text).unwrap();
+    let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+    assert!(!diff(&base, &base, &th).fails_gate());
+
+    let with_workloads = |f: &dyn Fn(&mut Vec<Value>)| {
+        let mut v = base.clone();
+        if let Value::Obj(m) = &mut v {
+            if let Some((_, Value::Arr(ws))) = m.iter_mut().find(|(k, _)| k == "workloads") {
+                f(ws);
+            }
+        }
+        v
+    };
+    let flipped = with_workloads(&|ws| {
+        if let Value::Obj(cell) = &mut ws[0] {
+            if let Some((_, Value::Obj(off))) = cell.iter_mut().find(|(k, _)| k == "off") {
+                if let Some((_, Value::Int(c))) = off.iter_mut().find(|(k, _)| k == "checksum") {
+                    *c += 1;
+                }
+            }
+        }
+    });
+    let d = diff(&base, &flipped, &th);
+    assert_eq!(d.rows.len(), 1);
+    assert!(d.fails_gate(), "a checksum off by one passed the gate");
+
+    let dropped = with_workloads(&|ws| ws.truncate(1));
+    let d = diff(&base, &dropped, &th);
+    assert_eq!(d.removed.len(), 2);
+    assert!(d.fails_gate(), "dropping two workloads passed the gate");
 }
 
 // ---------------------------------------------------------------------------
