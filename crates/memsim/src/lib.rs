@@ -9,6 +9,12 @@
 //! - shared accesses go through [`ClusterMem::read_scalar`] /
 //!   [`ClusterMem::write_scalar`] and return a [`Fault`] exactly where real
 //!   hardware would trap into the DSM protocol's handler;
+//! - the same accesses record which 8-byte words of a page they write,
+//!   for pages the protocol tracks ([`ClusterMem::track_writes`] /
+//!   [`ClusterMem::take_dirty`]), so a release knows its diff without a
+//!   second lookup;
+//! - [`IntMap`] is the deterministic integer-keyed map behind the page
+//!   tables and the protocol's directories;
 //! - [`OsVmConfig`] models mapping granularity, per-node memory size, and
 //!   OS operation costs (map, protect, fault entry);
 //! - frames can be pinned ([`ClusterMem::pin_frame`]) — the NIC may only
@@ -34,11 +40,14 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
+mod hash;
 mod node;
 mod scalar;
 
 pub use addr::{pages_covering, GAddr, PageNum, PAGE_SIZE};
+pub use hash::{IntHasher, IntMap};
 pub use node::{
-    ClusterMem, Fault, FaultKind, FrameId, MemError, MemStats, OsVmConfig, Prot, TlbStats,
+    ClusterMem, DirtyBitmap, Fault, FaultKind, FrameId, MemError, MemStats, OsVmConfig, Prot,
+    TlbStats, DIRTY_BITMAP_WORDS,
 };
 pub use scalar::Scalar;

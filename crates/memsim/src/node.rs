@@ -4,23 +4,26 @@
 //! thread at a time, so these structures see no real contention — the locks
 //! exist to satisfy `Sync`, and every lock here is per-node (or per-frame),
 //! never global. The hot path is the software TLB in each node's [`Shard`]:
-//! a direct-mapped cache of `page → (frame, prot, frame data)` so a hit
-//! skips both the page-table HashMap walk and the page-table lock.
+//! a direct-mapped cache of `page → (frame, prot, frame data, dirty bits)`.
+//! A hit takes the node's TLB lock, then the frame's data lock, copies,
+//! and sets the written words' dirty bits in the entry — no page-table
+//! walk, no refcount, no shared counter. A miss walks the page table with
+//! the TLB lock still held and installs the result, so an invalidation
+//! (which takes the same lock) can never interleave with a walk.
 //! Invalidation is precise — a mapping or protection change clears exactly
 //! the affected page's slot (and `free_frame` clears entries caching the
-//! freed frame on every node); the shard's generation counter only guards
-//! the walk-then-install window in [`ClusterMem::lookup`].
+//! freed frame on every node).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim::NodeId;
 
 use crate::addr::{GAddr, PageNum, PAGE_SIZE};
+use crate::hash::IntMap;
 use crate::scalar::Scalar;
 
 /// Access rights of a mapped page.
@@ -184,9 +187,9 @@ struct Pte {
     prot: Prot,
 }
 
-/// A physical frame's backing store. Page tables, TLB entries and in-flight
-/// DMA all share the same `Arc`, so frame data has one identity no matter
-/// how many mappings point at it.
+/// A physical frame's backing store. Page tables and TLB entries share
+/// the same `Arc`, so frame data has one identity no matter how many
+/// mappings point at it.
 struct FrameSlot {
     data: Mutex<Box<[u8]>>,
 }
@@ -199,6 +202,27 @@ impl FrameSlot {
     }
 }
 
+/// `u64`s in one page's dirty-word bitmap (one bit per 8-byte word).
+pub const DIRTY_BITMAP_WORDS: usize = PAGE_SIZE as usize / 8 / 64;
+
+/// The 8-byte words of one page written since tracking began: bit
+/// `w % 64` of element `w / 64` stands for word `w` (bytes `8w..8w + 8`).
+pub type DirtyBitmap = [u64; DIRTY_BITMAP_WORDS];
+
+/// Sets the bit of every word that `[off, off + len)` touches.
+fn mark_words(bm: &mut DirtyBitmap, off: usize, len: usize) {
+    if len == 0 {
+        return;
+    }
+    let (first, last) = (off / 8, (off + len - 1) / 8);
+    let words = first / 64..=last / 64;
+    for (i, w) in words.clone().zip(&mut bm[words]) {
+        let lo = if i == first / 64 { first % 64 } else { 0 };
+        let hi = if i == last / 64 { last % 64 } else { 63 };
+        *w |= (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+    }
+}
+
 /// Number of direct-mapped entries in each node's software TLB.
 const TLB_ENTRIES: usize = 256;
 
@@ -206,16 +230,127 @@ const TLB_ENTRIES: usize = 256;
 /// protection and frame-free operations clear the affected slots directly.
 struct TlbEntry {
     page: u64,
-    frame_id: FrameId,
+    frame: FrameId,
     prot: Prot,
     slot: Arc<FrameSlot>,
+    /// The page's dirty bitmap while its writes are tracked. It moves in
+    /// with the translation so a write hit sets its bits in place.
+    dirty: Option<Box<DirtyBitmap>>,
+}
+
+/// One node's software TLB, its hit/miss counters and the dirty bitmaps
+/// of its tracked pages, all under one lock.
+struct Tlb {
+    entries: Box<[Option<TlbEntry>]>,
+    /// Dirty bitmaps of tracked pages that no entry caches.
+    parked: IntMap<u64, Box<DirtyBitmap>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Tlb {
+    fn new() -> Self {
+        Tlb {
+            entries: (0..TLB_ENTRIES).map(|_| None).collect(),
+            parked: IntMap::default(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn index(page: u64) -> usize {
+        page as usize % TLB_ENTRIES
+    }
+
+    fn caches(&self, page: u64) -> bool {
+        self.entries[Self::index(page)]
+            .as_ref()
+            .is_some_and(|e| e.page == page)
+    }
+
+    /// Empties slot `i`, parking its dirty bitmap.
+    fn evict(&mut self, i: usize) {
+        if let Some(TlbEntry {
+            page,
+            dirty: Some(d),
+            ..
+        }) = self.entries[i].take()
+        {
+            self.parked.insert(page, d);
+        }
+    }
+
+    /// Drops any cached translation for `page`.
+    fn invalidate_page(&mut self, page: u64) {
+        if self.caches(page) {
+            self.evict(Self::index(page));
+        }
+    }
+
+    /// Drops every cached translation that points at `frame`.
+    fn invalidate_frame(&mut self, frame: FrameId) {
+        for i in 0..TLB_ENTRIES {
+            if self.entries[i].as_ref().is_some_and(|e| e.frame == frame) {
+                self.evict(i);
+            }
+        }
+    }
+
+    /// Caches a walked translation; the page's parked bitmap moves in.
+    fn install(&mut self, page: u64, pte: Pte, slot: Arc<FrameSlot>) -> &mut TlbEntry {
+        let i = Self::index(page);
+        self.evict(i);
+        let dirty = self.parked.remove(&page);
+        self.entries[i].insert(TlbEntry {
+            page,
+            frame: pte.frame,
+            prot: pte.prot,
+            slot,
+            dirty,
+        })
+    }
+
+    /// `page`'s dirty bitmap wherever it lives, or `None` if untracked.
+    fn dirty_mut(&mut self, page: u64) -> Option<&mut DirtyBitmap> {
+        match &mut self.entries[Self::index(page)] {
+            Some(e) if e.page == page => e.dirty.as_deref_mut(),
+            _ => self.parked.get_mut(&page).map(|d| &mut **d),
+        }
+    }
+
+    /// Starts tracking `page` with a clean bitmap.
+    fn track(&mut self, page: u64) {
+        let clean = Box::new([0; DIRTY_BITMAP_WORDS]);
+        match &mut self.entries[Self::index(page)] {
+            Some(e) if e.page == page => e.dirty = Some(clean),
+            _ => {
+                self.parked.insert(page, clean);
+            }
+        }
+    }
+
+    /// Stops tracking `page`, returning its bitmap.
+    fn untrack(&mut self, page: u64) -> Option<Box<DirtyBitmap>> {
+        match &mut self.entries[Self::index(page)] {
+            Some(e) if e.page == page => e.dirty.take(),
+            _ => self.parked.remove(&page),
+        }
+    }
+}
+
+/// A translation lent out while its TLB lock is held.
+struct Translation<'a> {
+    frame: FrameId,
+    prot: Prot,
+    slot: &'a FrameSlot,
+    dirty: Option<&'a mut DirtyBitmap>,
 }
 
 struct NodeMem {
     frames: Vec<Option<Arc<FrameSlot>>>,
     free_frames: Vec<u32>,
     pinned: Vec<bool>,
-    page_table: HashMap<u64, Pte>,
+    page_table: IntMap<u64, Pte>,
     used_bytes: u64,
     pinned_bytes: u64,
     faults: u64,
@@ -227,60 +362,77 @@ impl NodeMem {
             frames: Vec::new(),
             free_frames: Vec::new(),
             pinned: Vec::new(),
-            page_table: HashMap::new(),
+            page_table: IntMap::default(),
             used_bytes: 0,
             pinned_bytes: 0,
             faults: 0,
         }
     }
+
+    fn frame(&self, frame: FrameId, what: &str) -> &Arc<FrameSlot> {
+        self.frames[frame.index as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("{what} of freed frame {frame}"))
+    }
 }
 
-/// One node's memory state: page table + frames under a per-node lock, the
-/// software TLB, and the generation counter guarding TLB installs.
+/// One node's memory state: page table + frames under one lock, the
+/// software TLB under another. Lock order: TLB, then page table, then
+/// frame data.
 struct Shard {
     mem: Mutex<NodeMem>,
-    tlb: Mutex<Vec<Option<TlbEntry>>>,
-    /// Bumped by every invalidation *before* the slot is cleared. A lookup
-    /// samples it before walking the page table and only installs the
-    /// walked translation if it is unchanged, so a mutation racing the
-    /// walk-then-install window can never leave a stale entry behind.
-    epoch: AtomicU64,
+    tlb: Mutex<Tlb>,
 }
 
 impl Shard {
-    fn new() -> Arc<Self> {
-        Arc::new(Shard {
+    fn new() -> Self {
+        Shard {
             mem: Mutex::new(NodeMem::new()),
-            tlb: Mutex::new((0..TLB_ENTRIES).map(|_| None).collect()),
-            epoch: AtomicU64::new(0),
-        })
+            tlb: Mutex::new(Tlb::new()),
+        }
     }
+}
 
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
+/// Registry segments: enough for `2^32 - 1` nodes.
+const SEGMENTS: usize = 32;
 
-    /// Drops any cached translation for `page`. Bumps the generation
-    /// first: a concurrent lookup that already walked the old page table
-    /// then fails its install check instead of re-caching stale state.
-    fn invalidate_page(&self, page: u64) {
-        self.bump_epoch();
-        let mut tlb = self.tlb.lock();
-        let e = &mut tlb[page as usize % TLB_ENTRIES];
-        if e.as_ref().is_some_and(|e| e.page == page) {
-            *e = None;
+/// The append-only node registry, read without a lock. Segment `k`
+/// holds nodes `2^k - 1 .. 2^(k+1) - 1` and is allocated when its first
+/// node registers, so the registry grows with the node count and a read
+/// is two acquire loads.
+struct Registry {
+    segments: [OnceLock<Box<[OnceLock<Shard>]>>; SEGMENTS],
+}
+
+impl Registry {
+    fn new() -> Self {
+        Registry {
+            segments: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    /// Drops every cached translation that points at `frame`.
-    fn invalidate_frame(&self, frame: FrameId) {
-        self.bump_epoch();
-        let mut tlb = self.tlb.lock();
-        for e in tlb.iter_mut() {
-            if e.as_ref().is_some_and(|e| e.frame_id == frame) {
-                *e = None;
-            }
-        }
+    /// `(segment, index in segment)` of node `i`.
+    fn locate(i: usize) -> (usize, usize) {
+        let k = (usize::BITS - 1 - (i + 1).leading_zeros()) as usize;
+        (k, i + 1 - (1 << k))
+    }
+
+    fn get(&self, i: usize) -> Option<&Shard> {
+        let (k, j) = Self::locate(i);
+        self.segments.get(k)?.get()?[j].get()
+    }
+
+    fn get_or_init(&self, i: usize) -> &Shard {
+        let (k, j) = Self::locate(i);
+        self.segments[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect())[j]
+            .get_or_init(Shard::new)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Shard> {
+        self.segments
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|seg| seg.iter().filter_map(OnceLock::get))
     }
 }
 
@@ -314,11 +466,7 @@ pub struct MemStats {
 /// hardware would have trapped.
 pub struct ClusterMem {
     cfg: OsVmConfig,
-    /// Per-node shards. The `RwLock` only guards the registry vector
-    /// (grown during setup); all per-node state is inside each shard.
-    shards: RwLock<Vec<Arc<Shard>>>,
-    tlb_hits: AtomicU64,
-    tlb_misses: AtomicU64,
+    shards: Registry,
     /// When true, translations bypass the software TLB entirely (full
     /// page-table walk on every access, no counter updates) — the
     /// pre-optimization behaviour, kept as a measurement baseline.
@@ -328,7 +476,7 @@ pub struct ClusterMem {
 impl fmt::Debug for ClusterMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterMem")
-            .field("nodes", &self.shards.read().unwrap().len())
+            .field("nodes", &self.shards.iter().count())
             .field("cfg", &self.cfg)
             .finish()
     }
@@ -339,9 +487,7 @@ impl ClusterMem {
     pub fn new(cfg: OsVmConfig) -> Self {
         ClusterMem {
             cfg,
-            shards: RwLock::new(Vec::new()),
-            tlb_hits: AtomicU64::new(0),
-            tlb_misses: AtomicU64::new(0),
+            shards: Registry::new(),
             slow_mode: AtomicBool::new(false),
         }
     }
@@ -360,92 +506,122 @@ impl ClusterMem {
 
     /// Ensures per-node state exists for nodes `0..=node`.
     pub fn ensure_node(&self, node: NodeId) {
-        let mut shards = self.shards.write().unwrap();
-        while shards.len() <= node.0 as usize {
-            shards.push(Shard::new());
+        for i in 0..=node.0 as usize {
+            self.shards.get_or_init(i);
         }
     }
 
-    fn shard(&self, node: NodeId) -> Option<Arc<Shard>> {
-        self.shards.read().unwrap().get(node.0 as usize).cloned()
+    fn shard(&self, node: NodeId) -> Option<&Shard> {
+        self.shards.get(node.0 as usize)
     }
 
-    fn shard_must(&self, node: NodeId) -> Arc<Shard> {
+    fn shard_must(&self, node: NodeId) -> &Shard {
         self.shard(node)
             .unwrap_or_else(|| panic!("no such node {node}"))
     }
 
     /// Software-TLB counters accumulated since construction.
     pub fn tlb_stats(&self) -> TlbStats {
-        TlbStats {
-            hits: self.tlb_hits.load(Ordering::Relaxed),
-            misses: self.tlb_misses.load(Ordering::Relaxed),
-        }
+        self.shards.iter().fold(TlbStats::default(), |acc, s| {
+            let tlb = s.tlb.lock();
+            TlbStats {
+                hits: acc.hits + tlb.hits,
+                misses: acc.misses + tlb.misses,
+            }
+        })
     }
 
-    /// Translates `page` on `node`, trying the node's TLB first. Installs
-    /// the translation in the TLB on a successful walk.
-    fn lookup(&self, node: NodeId, page: PageNum) -> Option<(FrameId, Prot, Arc<FrameSlot>)> {
+    /// Walks `node`'s page table for `page`.
+    fn walk(&self, shard: &Shard, node: NodeId, page: u64) -> Option<(Pte, Arc<FrameSlot>)> {
+        let m = shard.mem.lock();
+        let pte = *m.page_table.get(&page)?;
+        if pte.frame.node == node {
+            return Some((pte, Arc::clone(m.frame(pte.frame, "mapping"))));
+        }
+        drop(m);
+        // Cross-node mapping: the frame lives on another shard, whose
+        // page-table lock is taken only after this one is released.
+        let owner = self.shard_must(pte.frame.node).mem.lock();
+        Some((pte, Arc::clone(owner.frame(pte.frame, "mapping"))))
+    }
+
+    /// Translates `page` on `node` and runs `f` on the translation with
+    /// the node's TLB lock held. Tries the TLB first and installs the
+    /// translation on a successful walk. `None` if `page` is unmapped.
+    fn with_translation<R>(
+        &self,
+        node: NodeId,
+        page: PageNum,
+        f: impl FnOnce(Translation<'_>) -> R,
+    ) -> Option<R> {
         let shard = self.shard(node)?;
-        let fast = !self.slow_mode.load(Ordering::Relaxed);
-        // Sample the generation *before* the walk: if an invalidation
-        // races in between, the install check below fails and the walked
-        // (possibly stale) translation is simply not cached.
-        let epoch = shard.epoch.load(Ordering::Acquire);
-        let idx = page.index() as usize % TLB_ENTRIES;
-        if fast {
-            let tlb = shard.tlb.lock();
-            if let Some(e) = &tlb[idx] {
-                if e.page == page.index() {
-                    self.tlb_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((e.frame_id, e.prot, Arc::clone(&e.slot)));
+        let mut guard = shard.tlb.lock();
+        let tlb = &mut *guard;
+        let page = page.index();
+        if self.slow_mode.load(Ordering::Relaxed) {
+            let (pte, slot) = self.walk(shard, node, page)?;
+            return Some(f(Translation {
+                frame: pte.frame,
+                prot: pte.prot,
+                slot: &slot,
+                dirty: tlb.dirty_mut(page),
+            }));
+        }
+        let e = if tlb.caches(page) {
+            tlb.hits += 1;
+            tlb.entries[Tlb::index(page)]
+                .as_mut()
+                .expect("cached entry")
+        } else {
+            tlb.misses += 1;
+            let (pte, slot) = self.walk(shard, node, page)?;
+            tlb.install(page, pte, slot)
+        };
+        Some(f(Translation {
+            frame: e.frame,
+            prot: e.prot,
+            slot: &e.slot,
+            dirty: e.dirty.as_deref_mut(),
+        }))
+    }
+
+    /// One access to the intersection of `[addr, addr + len)` with
+    /// `addr`'s page: `f` runs on those frame bytes under the TLB and
+    /// frame-data locks, and a write marks the words it covers dirty.
+    /// Faults (running nothing) if the page's protection forbids `kind`.
+    fn access<R>(
+        &self,
+        node: NodeId,
+        addr: GAddr,
+        len: usize,
+        kind: FaultKind,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, Fault> {
+        let page = addr.page();
+        let off = addr.page_offset() as usize;
+        let n = len.min(PAGE_SIZE as usize - off);
+        let done = self
+            .with_translation(node, page, |t| {
+                let allowed = match kind {
+                    FaultKind::Read => t.prot != Prot::None,
+                    FaultKind::Write => t.prot == Prot::ReadWrite,
+                };
+                if !allowed {
+                    return None;
                 }
-            }
-        }
-        if fast {
-            self.tlb_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let (pte, local_slot) = {
-            let m = shard.mem.lock();
-            let pte = *m.page_table.get(&page.index())?;
-            let local = if pte.frame.node == node {
-                Some(Arc::clone(
-                    m.frames[pte.frame.index as usize]
-                        .as_ref()
-                        .expect("mapped page points at freed frame"),
-                ))
-            } else {
-                None
-            };
-            (pte, local)
-        };
-        let slot = match local_slot {
-            Some(s) => s,
-            // Cross-node mapping: the frame lives on another shard. The
-            // local page-table lock is already released, so this cannot
-            // form a lock cycle.
-            None => {
-                let owner = self.shard_must(pte.frame.node);
-                let om = owner.mem.lock();
-                Arc::clone(
-                    om.frames[pte.frame.index as usize]
-                        .as_ref()
-                        .expect("mapped page points at freed frame"),
-                )
-            }
-        };
-        if fast {
-            let mut tlb = shard.tlb.lock();
-            if shard.epoch.load(Ordering::Acquire) == epoch {
-                tlb[idx] = Some(TlbEntry {
-                    page: page.index(),
-                    frame_id: pte.frame,
-                    prot: pte.prot,
-                    slot: Arc::clone(&slot),
-                });
-            }
-        }
-        Some((pte.frame, pte.prot, slot))
+                let r = f(&mut t.slot.data.lock()[off..off + n]);
+                if kind == FaultKind::Write {
+                    if let Some(d) = t.dirty {
+                        mark_words(d, off, n);
+                    }
+                }
+                Some(r)
+            })
+            .flatten();
+        done.ok_or_else(|| {
+            self.record_fault(node);
+            Fault { node, page, kind }
+        })
     }
 
     /// Usage counters for `node`.
@@ -497,9 +673,8 @@ impl ClusterMem {
     ///
     /// Panics if the frame is not allocated (double free).
     pub fn free_frame(&self, frame: FrameId) {
-        let shard = self.shard_must(frame.node);
         {
-            let mut n = shard.mem.lock();
+            let mut n = self.shard_must(frame.node).mem.lock();
             let slot = &mut n.frames[frame.index as usize];
             assert!(slot.is_some(), "double free of {frame}");
             *slot = None;
@@ -510,16 +685,15 @@ impl ClusterMem {
             n.used_bytes -= PAGE_SIZE;
             n.free_frames.push(frame.index);
         }
-        for s in self.shards.read().unwrap().iter() {
-            s.invalidate_frame(frame);
+        for s in self.shards.iter() {
+            s.tlb.lock().invalidate_frame(frame);
         }
     }
 
     /// Pins a frame (it will never be swapped; required before the NIC may
     /// target it with remote operations).
     pub fn pin_frame(&self, frame: FrameId) {
-        let shard = self.shard_must(frame.node);
-        let mut n = shard.mem.lock();
+        let mut n = self.shard_must(frame.node).mem.lock();
         if !n.pinned[frame.index as usize] {
             n.pinned[frame.index as usize] = true;
             n.pinned_bytes += PAGE_SIZE;
@@ -528,9 +702,7 @@ impl ClusterMem {
 
     /// Whether a frame is pinned.
     pub fn is_pinned(&self, frame: FrameId) -> bool {
-        let shard = self.shard_must(frame.node);
-        let n = shard.mem.lock();
-        n.pinned[frame.index as usize]
+        self.shard_must(frame.node).mem.lock().pinned[frame.index as usize]
     }
 
     /// Maps `page` on `node` to `frame` with protection `prot`, at page
@@ -538,10 +710,13 @@ impl ClusterMem {
     /// changes), which are page-granular on every OS.
     pub fn map_page(&self, node: NodeId, page: PageNum, frame: FrameId, prot: Prot) {
         let shard = self.shard_must(node);
-        let mut n = shard.mem.lock();
-        n.page_table.insert(page.index(), Pte { frame, prot });
-        drop(n);
-        shard.invalidate_page(page.index());
+        let mut tlb = shard.tlb.lock();
+        shard
+            .mem
+            .lock()
+            .page_table
+            .insert(page.index(), Pte { frame, prot });
+        tlb.invalidate_page(page.index());
     }
 
     /// Maps a whole OS chunk (e.g. 64 KB) of the application address space
@@ -568,14 +743,12 @@ impl ClusterMem {
             });
         }
         let shard = self.shard_must(node);
+        let mut tlb = shard.tlb.lock();
         let mut n = shard.mem.lock();
         for (i, &frame) in frames.iter().enumerate() {
-            n.page_table
-                .insert(base.index() + i as u64, Pte { frame, prot });
-        }
-        drop(n);
-        for i in 0..frames.len() as u64 {
-            shard.invalidate_page(base.index() + i);
+            let page = base.index() + i as u64;
+            n.page_table.insert(page, Pte { frame, prot });
+            tlb.invalidate_page(page);
         }
         Ok(())
     }
@@ -583,8 +756,9 @@ impl ClusterMem {
     /// Removes a mapping.
     pub fn unmap_page(&self, node: NodeId, page: PageNum) {
         let shard = self.shard_must(node);
+        let mut tlb = shard.tlb.lock();
         shard.mem.lock().page_table.remove(&page.index());
-        shard.invalidate_page(page.index());
+        tlb.invalidate_page(page.index());
     }
 
     /// Changes the protection of a mapped page (page-granular, like
@@ -595,26 +769,40 @@ impl ClusterMem {
     /// [`MemError::Unmapped`] if the page has no mapping on `node`.
     pub fn set_prot(&self, node: NodeId, page: PageNum, prot: Prot) -> Result<(), MemError> {
         let shard = self.shard_must(node);
-        let mut n = shard.mem.lock();
-        match n.page_table.get_mut(&page.index()) {
-            Some(pte) => {
-                pte.prot = prot;
-                drop(n);
-                shard.invalidate_page(page.index());
-                Ok(())
-            }
-            None => Err(MemError::Unmapped(node, page)),
+        let mut tlb = shard.tlb.lock();
+        match shard.mem.lock().page_table.get_mut(&page.index()) {
+            Some(pte) => pte.prot = prot,
+            None => return Err(MemError::Unmapped(node, page)),
         }
+        tlb.invalidate_page(page.index());
+        Ok(())
     }
 
     /// Returns `(frame, prot)` for a mapped page (TLB-accelerated).
     pub fn translate(&self, node: NodeId, page: PageNum) -> Option<(FrameId, Prot)> {
-        self.lookup(node, page).map(|(frame, prot, _)| (frame, prot))
+        self.with_translation(node, page, |t| (t.frame, t.prot))
+    }
+
+    /// Starts recording which words of `page` successful writes on
+    /// `node` touch, from a clean bitmap. Tracking belongs to the
+    /// `(node, page)` pair, not to a mapping or frame: it survives
+    /// remapping and protection changes until [`ClusterMem::take_dirty`].
+    pub fn track_writes(&self, node: NodeId, page: PageNum) {
+        self.shard_must(node).tlb.lock().track(page.index());
+    }
+
+    /// Stops tracking `page` on `node` and returns the words written
+    /// since [`ClusterMem::track_writes`], or `None` if it was untracked.
+    pub fn take_dirty(&self, node: NodeId, page: PageNum) -> Option<DirtyBitmap> {
+        self.shard_must(node)
+            .tlb
+            .lock()
+            .untrack(page.index())
+            .map(|d| *d)
     }
 
     fn record_fault(&self, node: NodeId) {
-        let shard = self.shard_must(node);
-        shard.mem.lock().faults += 1;
+        self.shard_must(node).mem.lock().faults += 1;
     }
 
     /// Reads a scalar at `addr` through `node`'s page table.
@@ -632,22 +820,7 @@ impl ClusterMem {
             addr.fits_in_page(T::SIZE as u64),
             "scalar read at {addr} straddles a page"
         );
-        let page = addr.page();
-        match self.lookup(node, page) {
-            Some((_, prot, slot)) if prot != Prot::None => {
-                let data = slot.data.lock();
-                let off = addr.page_offset() as usize;
-                Ok(T::load(&data[off..off + T::SIZE]))
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Read,
-                })
-            }
-        }
+        self.access(node, addr, T::SIZE, FaultKind::Read, |b| T::load(b))
     }
 
     /// Writes a scalar at `addr` through `node`'s page table.
@@ -664,23 +837,42 @@ impl ClusterMem {
             addr.fits_in_page(T::SIZE as u64),
             "scalar write at {addr} straddles a page"
         );
-        let page = addr.page();
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut data = slot.data.lock();
-                let off = addr.page_offset() as usize;
-                v.store(&mut data[off..off + T::SIZE]);
-                Ok(())
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        self.access(node, addr, T::SIZE, FaultKind::Write, |b| v.store(b))
+    }
+
+    /// Runs `f` on the bytes of `[addr, addr + len)` that lie in `addr`'s
+    /// page, read-only: one translation (TLB-accelerated), no copy.
+    /// Returns `f`'s result; the slice is `len` clamped to the page end.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Fault`] (running nothing) if the page is unmapped or
+    /// `Prot::None`.
+    pub fn read_page_run_with<R>(
+        &self,
+        node: NodeId,
+        addr: GAddr,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, Fault> {
+        self.access(node, addr, len, FaultKind::Read, |b| f(b))
+    }
+
+    /// Write-side counterpart of [`ClusterMem::read_page_run_with`]: `f`
+    /// may change the bytes, and the words they cover are marked dirty
+    /// if `page` is tracked.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Fault`] (running nothing) if the page is not writable.
+    pub fn write_page_run_with<R>(
+        &self,
+        node: NodeId,
+        addr: GAddr,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, Fault> {
+        self.access(node, addr, len, FaultKind::Write, f)
     }
 
     /// Reads the intersection of `[addr, addr + out.len())` with `addr`'s
@@ -693,24 +885,10 @@ impl ClusterMem {
     /// Returns a [`Fault`] (copying nothing) if the page is unmapped or
     /// `Prot::None`.
     pub fn read_page_run(&self, node: NodeId, addr: GAddr, out: &mut [u8]) -> Result<usize, Fault> {
-        let page = addr.page();
-        let off = addr.page_offset() as usize;
-        let n = out.len().min(PAGE_SIZE as usize - off);
-        match self.lookup(node, page) {
-            Some((_, prot, slot)) if prot != Prot::None => {
-                let data = slot.data.lock();
-                out[..n].copy_from_slice(&data[off..off + n]);
-                Ok(n)
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Read,
-                })
-            }
-        }
+        self.read_page_run_with(node, addr, out.len(), |b| {
+            out[..b.len()].copy_from_slice(b);
+            b.len()
+        })
     }
 
     /// Write-side counterpart of [`ClusterMem::read_page_run`]: one
@@ -720,24 +898,10 @@ impl ClusterMem {
     ///
     /// Returns a [`Fault`] (writing nothing) if the page is not writable.
     pub fn write_page_run(&self, node: NodeId, addr: GAddr, data: &[u8]) -> Result<usize, Fault> {
-        let page = addr.page();
-        let off = addr.page_offset() as usize;
-        let n = data.len().min(PAGE_SIZE as usize - off);
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut buf = slot.data.lock();
-                buf[off..off + n].copy_from_slice(&data[..n]);
-                Ok(n)
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        self.write_page_run_with(node, addr, data.len(), |b| {
+            b.copy_from_slice(&data[..b.len()]);
+            b.len()
+        })
     }
 
     /// Fill-side counterpart of [`ClusterMem::write_page_run`]: sets up to
@@ -753,24 +917,10 @@ impl ClusterMem {
         byte: u8,
         len: usize,
     ) -> Result<usize, Fault> {
-        let page = addr.page();
-        let off = addr.page_offset() as usize;
-        let n = len.min(PAGE_SIZE as usize - off);
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut buf = slot.data.lock();
-                buf[off..off + n].fill(byte);
-                Ok(n)
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        self.write_page_run_with(node, addr, len, |b| {
+            b.fill(byte);
+            b.len()
+        })
     }
 
     /// Reads `out.len()` bytes starting at `addr`, one page run at a time.
@@ -819,28 +969,25 @@ impl ClusterMem {
         Ok(())
     }
 
-    fn frame_slot(&self, frame: FrameId, what: &str) -> Arc<FrameSlot> {
-        let shard = self.shard_must(frame.node);
-        let n = shard.mem.lock();
-        Arc::clone(
-            n.frames[frame.index as usize]
-                .as_ref()
-                .unwrap_or_else(|| panic!("{what} of freed frame {frame}")),
-        )
+    /// Runs `f` on a physical frame's bytes (the NIC DMA paths).
+    fn with_frame<R>(&self, frame: FrameId, what: &str, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        let n = self.shard_must(frame.node).mem.lock();
+        let mut data = n.frame(frame, what).data.lock();
+        f(&mut data)
     }
 
     /// Copies bytes out of a physical frame (NIC DMA read path).
     pub fn frame_read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        let slot = self.frame_slot(frame, "frame_read");
-        let data = slot.data.lock();
-        out.copy_from_slice(&data[offset..offset + out.len()]);
+        self.with_frame(frame, "frame_read", |d| {
+            out.copy_from_slice(&d[offset..offset + out.len()])
+        });
     }
 
     /// Copies bytes into a physical frame (NIC DMA write path).
     pub fn frame_write(&self, frame: FrameId, offset: usize, data: &[u8]) {
-        let slot = self.frame_slot(frame, "frame_write");
-        let mut buf = slot.data.lock();
-        buf[offset..offset + data.len()].copy_from_slice(data);
+        self.with_frame(frame, "frame_write", |d| {
+            d[offset..offset + data.len()].copy_from_slice(data)
+        });
     }
 
     /// Copies a whole frame `src` → `dst` (page transfer landing).

@@ -22,11 +22,11 @@
 //! data-race-free programs see identical values and at worst extra
 //! invalidations.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use chaos::ChaosEngine;
-use memsim::{FaultKind, GAddr, PageNum, Prot, Scalar, PAGE_SIZE};
+use memsim::{DirtyBitmap, FaultKind, GAddr, IntMap, PageNum, Prot, Scalar, PAGE_SIZE};
 use sim::{NodeId, Scope, Sim, SimTime, Tid};
 use vmmc::{RegionId, VmmcError};
 
@@ -34,7 +34,6 @@ use crate::api::SvmSystem;
 use crate::config::{PlacementPolicy, ProtoMode};
 
 pub(crate) const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8) as usize;
-pub(crate) const BITMAP_WORDS: usize = WORDS_PER_PAGE / 64;
 
 /// Base of the heap portion of the shared virtual address space.
 pub const HEAP_BASE: GAddr = GAddr::new(0x4000_0000);
@@ -57,8 +56,10 @@ pub(crate) struct PageDir {
 #[derive(Debug)]
 pub(crate) struct CopyState {
     pub version: u64,
-    /// Dirty 8-byte-word bitmap; present iff the page is locally writable.
-    pub dirty: Option<Box<[u64; BITMAP_WORDS]>>,
+    /// Whether the memory layer tracks this copy's written words
+    /// ([`memsim::ClusterMem::track_writes`]); set iff the page is locally
+    /// writable.
+    pub dirty: bool,
 }
 
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -116,21 +117,21 @@ pub struct NodeStats {
 
 #[derive(Debug, Default)]
 pub(crate) struct NodeProto {
-    pub copies: HashMap<u64, CopyState>,
+    pub copies: IntMap<u64, CopyState>,
     pub dirty_pages: Vec<u64>,
-    pub seg_cache: HashMap<u64, ()>,
-    pub imported: HashMap<u64, ()>,
+    pub seg_cache: IntMap<u64, ()>,
+    pub imported: IntMap<u64, ()>,
     pub log_cursor: usize,
     /// Stride detectors over this node's demand-fault stream, one per
     /// faulting thread — two CPUs interleaving sequential scans would
     /// otherwise shred each other's runs:
     /// `tid → (last demand page, stride in pages, same-stride streak)`.
-    pub stride: HashMap<u64, (u64, i64, u32)>,
+    pub stride: IntMap<u64, (u64, i64, u32)>,
     /// Pages installed by the prefetcher and not yet consumed or
     /// invalidated, with the simulated time their bytes finish streaming
     /// in (cut-through delivery: a consumer faulting earlier must wait
     /// out the remainder).
-    pub prefetched: HashMap<u64, SimTime>,
+    pub prefetched: IntMap<u64, SimTime>,
     pub stats: NodeStats,
 }
 
@@ -140,7 +141,7 @@ pub(crate) struct LockState {
     pub holder: Option<Tid>,
     pub holder_node: Option<NodeId>,
     pub waiters: VecDeque<(Tid, NodeId)>,
-    pub acquired_from: HashMap<u32, ()>,
+    pub acquired_from: IntMap<u32, ()>,
 }
 
 #[derive(Debug, Default)]
@@ -190,24 +191,24 @@ impl ChunkSharing {
 
 #[derive(Debug)]
 pub(crate) struct ProtoState {
-    pub dir: HashMap<u64, PageDir>,
+    pub dir: IntMap<u64, PageDir>,
     pub nodes: Vec<NodeProto>,
     /// Global interval log of write notices `(page, version)`.
     pub log: Vec<(u64, u64)>,
     /// CableS mode: the single growing home region per node, with its
     /// current length in bytes.
     pub home_region: Vec<Option<(RegionId, u64)>>,
-    pub first_toucher: HashMap<u64, NodeId>,
+    pub first_toucher: IntMap<u64, NodeId>,
     /// Counter-policy state: chunk -> incremental sharing counters.
-    pub chunk_sharing: HashMap<u64, ChunkSharing>,
+    pub chunk_sharing: IntMap<u64, ChunkSharing>,
     /// Demand fetches each node has served as home — the thread-affinity
     /// placement hint (maintained unconditionally; one add per remote
     /// fetch, never branched on by the protocol itself).
     pub home_pull: Vec<u64>,
     pub alloc_next: u64,
     pub alloc_ranges: Vec<(u64, u64)>,
-    pub locks: HashMap<u64, LockState>,
-    pub barriers: HashMap<u64, BarrierState>,
+    pub locks: IntMap<u64, LockState>,
+    pub barriers: IntMap<u64, BarrierState>,
     pub next_proc: usize,
     pub created: Vec<Tid>,
 }
@@ -215,17 +216,17 @@ pub(crate) struct ProtoState {
 impl ProtoState {
     pub fn new(nodes: usize) -> Self {
         ProtoState {
-            dir: HashMap::new(),
+            dir: IntMap::default(),
             nodes: (0..nodes).map(|_| NodeProto::default()).collect(),
             log: Vec::new(),
             home_region: vec![None; nodes],
-            first_toucher: HashMap::new(),
-            chunk_sharing: HashMap::new(),
+            first_toucher: IntMap::default(),
+            chunk_sharing: IntMap::default(),
             home_pull: vec![0; nodes],
             alloc_next: HEAP_BASE.raw(),
             alloc_ranges: Vec::new(),
-            locks: HashMap::new(),
-            barriers: HashMap::new(),
+            locks: IntMap::default(),
+            barriers: IntMap::default(),
             next_proc: 1,
             created: Vec::new(),
         }
@@ -902,7 +903,7 @@ impl SvmSystem {
                     .copies
                     .insert(base.index() + i, CopyState {
                         version: 0,
-                        dirty: None,
+                        dirty: false,
                     });
             }
             st.nodes[node.0 as usize].stats.placements += 1;
@@ -944,11 +945,12 @@ impl SvmSystem {
                     let np = &mut st.nodes[node.0 as usize];
                     let copy = np.copies.entry(page.index()).or_insert(CopyState {
                         version: 0,
-                        dirty: None,
+                        dirty: false,
                     });
-                    if copy.dirty.is_none() {
-                        copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
+                    if !copy.dirty {
+                        copy.dirty = true;
                         np.dirty_pages.push(page.index());
+                        self.cluster.mem.track_writes(node, page);
                     }
                     drop(st);
                     self.cluster
@@ -1011,7 +1013,7 @@ impl SvmSystem {
             let st = self.state.lock();
             match st.nodes[node.0 as usize].copies.get(&page.index()) {
                 Some(c) => (
-                    c.dirty.is_some(),
+                    c.dirty,
                     st.dir
                         .get(&page.index())
                         .map(|d| c.version >= d.version)
@@ -1043,9 +1045,10 @@ impl SvmSystem {
             }
             let np = &mut st.nodes[node.0 as usize];
             let copy = np.copies.get_mut(&page.index()).expect("current copy");
-            if copy.dirty.is_none() {
-                copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
+            if !copy.dirty {
+                copy.dirty = true;
                 np.dirty_pages.push(page.index());
+                self.cluster.mem.track_writes(node, page);
             }
             {
                 let d = st.dir.get_mut(&page.index()).expect("dir entry");
@@ -1167,7 +1170,7 @@ impl SvmSystem {
                         break;
                     }
                     if let Some(c) = np.copies.get(&cand) {
-                        if c.dirty.is_some() || c.version >= d.version {
+                        if c.dirty || c.version >= d.version {
                             continue;
                         }
                     }
@@ -1215,7 +1218,7 @@ impl SvmSystem {
                 let np = &mut st.nodes[node.0 as usize];
                 let copy = np.copies.entry(*cand).or_insert(CopyState {
                     version: 0,
-                    dirty: None,
+                    dirty: false,
                 });
                 copy.version = *version;
                 np.prefetched.insert(*cand, times[i + 1]);
@@ -1292,7 +1295,7 @@ impl SvmSystem {
             let np = &mut st.nodes[node.0 as usize];
             let copy = np.copies.entry(page.index()).or_insert(CopyState {
                 version: 0,
-                dirty: None,
+                dirty: false,
             });
             copy.version = version;
             match kind {
@@ -1304,9 +1307,10 @@ impl SvmSystem {
                         .expect("copy mapped");
                 }
                 FaultKind::Write => {
-                    if copy.dirty.is_none() {
-                        copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
+                    if !copy.dirty {
+                        copy.dirty = true;
                         np.dirty_pages.push(page.index());
+                        self.cluster.mem.track_writes(node, page);
                     }
                     {
                         let d = st.dir.get_mut(&page.index()).expect("dir entry");
@@ -1325,21 +1329,6 @@ impl SvmSystem {
             }
         }
         sim.advance(self.cluster.mem.config().protect_ns);
-    }
-
-    /// Marks the dirty words covered by a write of `len` bytes at `addr`.
-    pub(crate) fn mark_dirty(&self, node: NodeId, addr: GAddr, len: u64) {
-        let mut st = self.state.lock();
-        let np = &mut st.nodes[node.0 as usize];
-        if let Some(copy) = np.copies.get_mut(&addr.page().index()) {
-            if let Some(dirty) = copy.dirty.as_mut() {
-                let first = addr.page_offset() / 8;
-                let last = (addr.page_offset() + len - 1) / 8;
-                for w in first..=last {
-                    dirty[(w / 64) as usize] |= 1u64 << (w % 64);
-                }
-            }
-        }
     }
 
     /// Early release of a single dirty page: builds its diff, writes the
@@ -1367,11 +1356,17 @@ impl SvmSystem {
             let mut st = self.state.lock();
             let np = &mut st.nodes[node.0 as usize];
             np.dirty_pages.retain(|p| *p != page_idx);
-            let copy = np.copies.get_mut(&page_idx).expect("dirty page has copy");
-            copy.dirty.take().expect("dirty page has bitmap")
+            np.copies
+                .get_mut(&page_idx)
+                .expect("dirty page has copy")
+                .dirty = false;
+            self.cluster
+                .mem
+                .take_dirty(node, page)
+                .expect("dirty page has bitmap")
         };
         let runs = dirty_runs(&bitmap);
-        let dirty_bytes: u64 = runs.iter().map(|r| (r.1 - r.0) * 8).sum();
+        let dirty_bytes: u64 = runs.clone().map(|(w0, w1)| (w1 - w0) * 8).sum();
         let mut max_arrival = sim.now();
         if home == node {
             sim.advance(self.cfg.costs.diff_build_ns / 4);
@@ -1400,10 +1395,10 @@ impl SvmSystem {
                 .mem
                 .translate(node, page)
                 .expect("dirty page mapped");
-            for (w0, w1) in &runs {
+            let mut buf = Vec::new();
+            for (w0, w1) in runs {
                 let off = w0 * 8;
-                let len = (w1 - w0) * 8;
-                let mut buf = vec![0u8; len as usize];
+                buf.resize(((w1 - w0) * 8) as usize, 0);
                 self.cluster.mem.frame_read(frame, off as usize, &mut buf);
                 let t = self
                     .write_with_recovery(
@@ -1470,6 +1465,8 @@ impl SvmSystem {
         // rest of the loop exactly as the unbatched per-run sends do.
         let mut batches: BTreeMap<(u32, u64), (Vec<(u64, Vec<u8>)>, u64, SimTime)> =
             BTreeMap::new();
+        // One staging buffer for every unbatched diff run of this release.
+        let mut buf = Vec::new();
         if let Some(policy) = self.cfg.placement_policy {
             // Migration policy (extension): one decision per dirty chunk
             // per release, weighing the chunk's accumulated sharing
@@ -1503,10 +1500,14 @@ impl SvmSystem {
                     .copies
                     .get_mut(&page_idx)
                     .expect("dirty page has copy");
-                copy.dirty.take().expect("dirty page has bitmap")
+                copy.dirty = false;
+                self.cluster
+                    .mem
+                    .take_dirty(node, page)
+                    .expect("dirty page has bitmap")
             };
             let runs = dirty_runs(&bitmap);
-            let dirty_bytes: u64 = runs.iter().map(|r| (r.1 - r.0) * 8).sum();
+            let dirty_bytes: u64 = runs.clone().map(|(w0, w1)| (w1 - w0) * 8).sum();
 
             if home == node {
                 // Home writer: data already authoritative, just a notice.
@@ -1548,10 +1549,9 @@ impl SvmSystem {
                     let entry = batches
                         .entry((home.0, region.0))
                         .or_insert_with(|| (Vec::new(), 0, sim.now()));
-                    for (w0, w1) in &runs {
+                    for (w0, w1) in runs {
                         let off = w0 * 8;
-                        let len = (w1 - w0) * 8;
-                        let mut buf = vec![0u8; len as usize];
+                        let mut buf = vec![0u8; ((w1 - w0) * 8) as usize];
                         self.cluster.mem.frame_read(frame, off as usize, &mut buf);
                         entry.0.push((region_off + off, buf));
                     }
@@ -1563,10 +1563,9 @@ impl SvmSystem {
                         st.note_chunk_traffic(node, chunk);
                     }
                 } else {
-                    for (w0, w1) in &runs {
+                    for (w0, w1) in runs {
                         let off = w0 * 8;
-                        let len = (w1 - w0) * 8;
-                        let mut buf = vec![0u8; len as usize];
+                        buf.resize(((w1 - w0) * 8) as usize, 0);
                         self.cluster.mem.frame_read(frame, off as usize, &mut buf);
                         let t = self
                             .write_with_recovery(
@@ -1743,7 +1742,7 @@ impl SvmSystem {
                 }
                 if let Some(copy) = st.nodes[node.0 as usize].copies.get(&page_idx) {
                     if copy.version < version {
-                        if copy.dirty.is_none() {
+                        if !copy.dirty {
                             invalidate.push(page_idx);
                         } else {
                             // This node is concurrently writing the page
@@ -1899,7 +1898,7 @@ impl SvmSystem {
                 && (0..gran).any(|i| {
                     np.copies
                         .get(&(chunk_base.index() + i))
-                        .map(|c| c.dirty.is_some())
+                        .map(|c| c.dirty)
                         .unwrap_or(false)
                 })
         });
@@ -2017,7 +2016,7 @@ impl SvmSystem {
                     let np = &mut stx.nodes[node.0 as usize];
                     let copy = np.copies.entry(idx).or_insert(CopyState {
                         version: 0,
-                        dirty: None,
+                        dirty: false,
                     });
                     copy.version = v;
                     // A pending dirty map stays attached: the flush that
@@ -2098,24 +2097,53 @@ impl SvmSystem {
 }
 
 /// Decodes a dirty bitmap into half-open word ranges `(first, last+1)`.
-pub(crate) fn dirty_runs(bitmap: &[u64; BITMAP_WORDS]) -> Vec<(u64, u64)> {
-    let mut runs = Vec::new();
-    let mut start: Option<u64> = None;
-    for w in 0..WORDS_PER_PAGE as u64 {
-        let set = bitmap[(w / 64) as usize] >> (w % 64) & 1 == 1;
-        match (set, start) {
-            (true, None) => start = Some(w),
-            (false, Some(s)) => {
-                runs.push((s, w));
-                start = None;
+pub(crate) fn dirty_runs(bitmap: &DirtyBitmap) -> DirtyRuns<'_> {
+    DirtyRuns { bitmap, pos: 0 }
+}
+
+/// The runs of a dirty bitmap in word order, found a `u64` at a time.
+#[derive(Clone)]
+pub(crate) struct DirtyRuns<'a> {
+    bitmap: &'a DirtyBitmap,
+    pos: usize,
+}
+
+impl DirtyRuns<'_> {
+    /// The first word at or after `from` whose bit is set, or clear when
+    /// `clear` is true.
+    fn first_from(&self, from: usize, clear: bool) -> Option<usize> {
+        let word = |i: usize| {
+            if clear {
+                !self.bitmap[i]
+            } else {
+                self.bitmap[i]
             }
-            _ => {}
+        };
+        let mut i = from / 64;
+        let mut w = word(i) & (u64::MAX << (from % 64));
+        while w == 0 {
+            i += 1;
+            if i == self.bitmap.len() {
+                return None;
+            }
+            w = word(i);
         }
+        Some(i * 64 + w.trailing_zeros() as usize)
     }
-    if let Some(s) = start {
-        runs.push((s, WORDS_PER_PAGE as u64));
+}
+
+impl Iterator for DirtyRuns<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        if self.pos == WORDS_PER_PAGE {
+            return None;
+        }
+        let start = self.first_from(self.pos, false)?;
+        let end = self.first_from(start, true).unwrap_or(WORDS_PER_PAGE);
+        self.pos = end;
+        Some((start as u64, end as u64))
     }
-    runs
 }
 
 /// Typed read/write entry points live on [`SvmSystem`]; see `api.rs`.
@@ -2141,10 +2169,7 @@ impl SvmSystem {
         sim.advance(self.cfg.costs.access_check_ns);
         loop {
             match self.cluster.mem.write_scalar::<T>(sim.node(), addr, v) {
-                Ok(()) => {
-                    self.mark_dirty(sim.node(), addr, T::SIZE as u64);
-                    return;
-                }
+                Ok(()) => return,
                 Err(f) => self.handle_fault(sim, f.page, f.kind),
             }
         }
@@ -2183,36 +2208,39 @@ impl SvmSystem {
         }
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
-        let total = out.len() * T::SIZE;
-        let mut buf = [0u8; PAGE_SIZE as usize];
-        let mut off = 0usize;
-        while off < total {
-            let run_addr = addr + off as u64;
-            let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
-            let k = (n / T::SIZE) as u64;
+        let mut i = 0;
+        while i < out.len() {
+            let run_addr = addr + (i * T::SIZE) as u64;
+            let k = (out.len() - i).min((PAGE_SIZE - run_addr.page_offset()) as usize / T::SIZE);
+            let run = &mut out[i..i + k];
             // One access check up front so a fault is charged exactly as
             // the scalar path charges it; the remaining k-1 checks follow
             // the successful copy.
             sim.advance(a);
             loop {
-                match self.cluster.mem.read_page_run(node, run_addr, &mut buf[..n]) {
-                    Ok(_) => break,
+                let res = self
+                    .cluster
+                    .mem
+                    .read_page_run_with(node, run_addr, k * T::SIZE, |b| {
+                        for (v, bytes) in run.iter_mut().zip(b.chunks_exact(T::SIZE)) {
+                            *v = T::load(bytes);
+                        }
+                    });
+                match res {
+                    Ok(()) => break,
                     Err(f) => self.handle_fault(sim, f.page, f.kind),
                 }
             }
-            sim.advance((k - 1) * a);
-            for i in 0..k as usize {
-                out[off / T::SIZE + i] = T::load(&buf[i * T::SIZE..(i + 1) * T::SIZE]);
-            }
-            off += n;
+            sim.advance((k as u64 - 1) * a);
+            i += k;
         }
     }
 
     /// Writes `data` as consecutive scalars starting at `addr`.
     ///
-    /// Semantically identical to a loop of [`SvmSystem::write`]; the dirty
-    /// bitmap is marked once per page run (the same word bits a per-scalar
-    /// loop would set), so release diffs are unchanged. See
+    /// Semantically identical to a loop of [`SvmSystem::write`]; the memory
+    /// layer marks the dirty words once per page run (the same word bits a
+    /// per-scalar loop would set), so release diffs are unchanged. See
     /// [`SvmSystem::read_slice`] for the equivalence argument.
     ///
     /// # Panics
@@ -2229,26 +2257,28 @@ impl SvmSystem {
         }
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
-        let total = data.len() * T::SIZE;
-        let mut buf = [0u8; PAGE_SIZE as usize];
-        let mut off = 0usize;
-        while off < total {
-            let run_addr = addr + off as u64;
-            let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
-            let k = (n / T::SIZE) as u64;
-            for i in 0..k as usize {
-                data[off / T::SIZE + i].store(&mut buf[i * T::SIZE..(i + 1) * T::SIZE]);
-            }
+        let mut i = 0;
+        while i < data.len() {
+            let run_addr = addr + (i * T::SIZE) as u64;
+            let k = (data.len() - i).min((PAGE_SIZE - run_addr.page_offset()) as usize / T::SIZE);
+            let run = &data[i..i + k];
             sim.advance(a);
             loop {
-                match self.cluster.mem.write_page_run(node, run_addr, &buf[..n]) {
-                    Ok(_) => break,
+                let res = self
+                    .cluster
+                    .mem
+                    .write_page_run_with(node, run_addr, k * T::SIZE, |b| {
+                        for (v, bytes) in run.iter().zip(b.chunks_exact_mut(T::SIZE)) {
+                            v.store(bytes);
+                        }
+                    });
+                match res {
+                    Ok(()) => break,
                     Err(f) => self.handle_fault(sim, f.page, f.kind),
                 }
             }
-            self.mark_dirty(node, run_addr, n as u64);
-            sim.advance((k - 1) * a);
-            off += n;
+            sim.advance((k as u64 - 1) * a);
+            i += k;
         }
     }
 
@@ -2270,15 +2300,10 @@ impl SvmSystem {
         }
         let mut pat = [0u8; 8];
         v.store(&mut pat[..T::SIZE]);
+        let pat = &pat[..T::SIZE];
         // A uniform byte pattern (zeros, 0xFF…) can use the memset path;
-        // anything else goes through a pre-tiled page buffer.
-        let uniform = pat[..T::SIZE].iter().all(|&b| b == pat[0]);
-        let mut buf = [0u8; PAGE_SIZE as usize];
-        if !uniform {
-            for chunk in buf.chunks_exact_mut(T::SIZE) {
-                chunk.copy_from_slice(&pat[..T::SIZE]);
-            }
-        }
+        // anything else is tiled into the frame element by element.
+        let uniform = pat.iter().all(|&b| b == pat[0]);
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
         let total = count * T::SIZE;
@@ -2289,17 +2314,23 @@ impl SvmSystem {
             let k = (n / T::SIZE) as u64;
             sim.advance(a);
             loop {
-                let res = if uniform {
-                    self.cluster.mem.fill_page_run(node, run_addr, pat[0], n)
-                } else {
-                    self.cluster.mem.write_page_run(node, run_addr, &buf[..n])
-                };
+                let res = self
+                    .cluster
+                    .mem
+                    .write_page_run_with(node, run_addr, n, |b| {
+                        if uniform {
+                            b.fill(pat[0]);
+                        } else {
+                            for chunk in b.chunks_exact_mut(T::SIZE) {
+                                chunk.copy_from_slice(pat);
+                            }
+                        }
+                    });
                 match res {
-                    Ok(_) => break,
+                    Ok(()) => break,
                     Err(f) => self.handle_fault(sim, f.page, f.kind),
                 }
             }
-            self.mark_dirty(node, run_addr, n as u64);
             sim.advance((k - 1) * a);
             off += n;
         }
@@ -2309,18 +2340,76 @@ impl SvmSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::DIRTY_BITMAP_WORDS as BITMAP_WORDS;
+    use proptest::prelude::*;
+
+    fn runs(bm: &DirtyBitmap) -> Vec<(u64, u64)> {
+        dirty_runs(bm).collect()
+    }
+
+    /// The bit-at-a-time decoder the word scan replaced.
+    fn runs_bitwise(bitmap: &DirtyBitmap) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        let mut start: Option<u64> = None;
+        for w in 0..WORDS_PER_PAGE as u64 {
+            let set = bitmap[(w / 64) as usize] >> (w % 64) & 1 == 1;
+            match (set, start) {
+                (true, None) => start = Some(w),
+                (false, Some(s)) => {
+                    runs.push((s, w));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(s) = start {
+            runs.push((s, WORDS_PER_PAGE as u64));
+        }
+        runs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn dirty_runs_match_the_bit_loop(
+            words in prop::collection::vec((any::<u8>(), any::<u64>()), 8..9),
+        ) {
+            let mut bm = [0u64; BITMAP_WORDS];
+            for (w, (kind, raw)) in bm.iter_mut().zip(words) {
+                *w = match kind % 6 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => 0x5555_5555_5555_5555,
+                    3 => 0xAAAA_AAAA_AAAA_AAAA,
+                    4 => u64::MAX << (raw % 64), // a run to the word's end
+                    _ => raw,
+                };
+            }
+            prop_assert_eq!(runs(&bm), runs_bitwise(&bm), "bitmap {:x?}", bm);
+        }
+    }
+
+    #[test]
+    fn dirty_runs_full_and_alternating_pages() {
+        let full = [u64::MAX; BITMAP_WORDS];
+        assert_eq!(runs(&full), vec![(0, WORDS_PER_PAGE as u64)]);
+        let alt = [0x5555_5555_5555_5555; BITMAP_WORDS];
+        assert_eq!(runs(&alt).len(), WORDS_PER_PAGE / 2);
+        assert_eq!(runs(&alt), runs_bitwise(&alt));
+    }
 
     #[test]
     fn dirty_runs_empty() {
         let bm = [0u64; BITMAP_WORDS];
-        assert!(dirty_runs(&bm).is_empty());
+        assert!(runs(&bm).is_empty());
     }
 
     #[test]
     fn dirty_runs_single_word() {
         let mut bm = [0u64; BITMAP_WORDS];
         bm[0] |= 1 << 5;
-        assert_eq!(dirty_runs(&bm), vec![(5, 6)]);
+        assert_eq!(runs(&bm), vec![(5, 6)]);
     }
 
     #[test]
@@ -2330,7 +2419,7 @@ mod tests {
             bm[w / 64] |= 1 << (w % 64);
         }
         bm[1] |= 1; // word 64, separate run
-        assert_eq!(dirty_runs(&bm), vec![(10, 20), (64, 65)]);
+        assert_eq!(runs(&bm), vec![(10, 20), (64, 65)]);
     }
 
     #[test]
@@ -2338,7 +2427,7 @@ mod tests {
         let mut bm = [0u64; BITMAP_WORDS];
         let last = WORDS_PER_PAGE as u64 - 1;
         bm[(last / 64) as usize] |= 1 << (last % 64);
-        assert_eq!(dirty_runs(&bm), vec![(last, last + 1)]);
+        assert_eq!(runs(&bm), vec![(last, last + 1)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! a release (arrival) with an acquire (departure). The M4 macro layer and
 //! CableS's pthreads mutexes are both built on these.
 
-use std::collections::HashMap;
+use memsim::IntMap;
 use std::sync::atomic::Ordering;
 
 use sim::{NodeId, Sim, SimTime, Tid};
@@ -57,7 +57,7 @@ impl SvmSystem {
                 holder: None,
                 holder_node: None,
                 waiters: Default::default(),
-                acquired_from: HashMap::new(),
+                acquired_from: IntMap::default(),
             });
             let manager = l.manager;
             let first_time = l.acquired_from.insert(node.0, ()).is_none();
@@ -136,7 +136,7 @@ impl SvmSystem {
                 holder: None,
                 holder_node: None,
                 waiters: Default::default(),
-                acquired_from: HashMap::new(),
+                acquired_from: IntMap::default(),
             });
             let manager = l.manager;
             l.acquired_from.insert(node.0, ());

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -34,7 +33,7 @@ use obs::{EdgeKind, Event, Layer, ObsSink, NIC_TRACK};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use memsim::{ClusterMem, FrameId, PAGE_SIZE};
+use memsim::{ClusterMem, FrameId, IntMap, PAGE_SIZE};
 use san::{San, SendTiming};
 use sim::{NodeId, SimTime};
 
@@ -168,6 +167,23 @@ impl Region {
     fn bytes(&self) -> u64 {
         self.frames.len() as u64 * PAGE_SIZE
     }
+
+    /// Splits `[offset, offset + len)` into per-frame pieces
+    /// `(frame, offset in frame, bytes)`.
+    fn pieces(&self, offset: u64, len: u64) -> impl Iterator<Item = (FrameId, usize, usize)> + '_ {
+        let end = offset + len;
+        let mut cur = offset;
+        std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
+            let in_frame = cur % PAGE_SIZE;
+            let take = (PAGE_SIZE - in_frame).min(end - cur);
+            let frame = self.frames[(cur / PAGE_SIZE) as usize];
+            cur += take;
+            Some((frame, in_frame as usize, take as usize))
+        })
+    }
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -186,7 +202,7 @@ pub struct NicStats {
 }
 
 struct State {
-    regions: HashMap<u64, Region>,
+    regions: IntMap<u64, Region>,
     nics: Vec<NicState>,
     next_region: u64,
 }
@@ -219,7 +235,7 @@ impl Vmmc {
             san,
             mem,
             state: Mutex::new(State {
-                regions: HashMap::new(),
+                regions: IntMap::default(),
                 nics: Vec::new(),
                 next_region: 0,
             }),
@@ -529,14 +545,14 @@ impl Vmmc {
             })
     }
 
+    /// The region `from` may access at every `(offset, len)` range of
+    /// `ranges`.
     fn check_remote(
-        &self,
+        s: &State,
         from: NodeId,
         region: RegionId,
-        offset: u64,
-        len: u64,
-    ) -> Result<(NodeId, Vec<(FrameId, usize, usize)>), VmmcError> {
-        let s = self.state.lock();
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+    ) -> Result<&Region, VmmcError> {
         let r = s
             .regions
             .get(&region.0)
@@ -544,25 +560,36 @@ impl Vmmc {
         if r.owner != from && !r.importers.contains(&from) {
             return Err(VmmcError::NotImported { node: from, region });
         }
-        if offset + len > r.bytes() {
-            return Err(VmmcError::OutOfBounds {
-                region,
-                offset,
-                len,
-            });
+        for (offset, len) in ranges {
+            if offset + len > r.bytes() {
+                return Err(VmmcError::OutOfBounds {
+                    region,
+                    offset,
+                    len,
+                });
+            }
         }
-        // Split [offset, offset+len) into per-frame pieces.
-        let mut pieces = Vec::new();
-        let mut cur = offset;
-        let end = offset + len;
-        while cur < end {
-            let frame_idx = (cur / PAGE_SIZE) as usize;
-            let in_frame = (cur % PAGE_SIZE) as usize;
-            let take = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min((end - cur) as usize);
-            pieces.push((r.frames[frame_idx], in_frame, take));
-            cur += take as u64;
+        Ok(r)
+    }
+
+    /// Copies `data` into `r` at `offset`, frame by frame.
+    fn write_frames(&self, r: &Region, offset: u64, data: &[u8]) {
+        let mut cursor = 0usize;
+        for (frame, in_frame, take) in r.pieces(offset, data.len() as u64) {
+            self.mem
+                .frame_write(frame, in_frame, &data[cursor..cursor + take]);
+            cursor += take;
         }
-        Ok((r.owner, pieces))
+    }
+
+    /// Copies `out.len()` bytes of `r` at `offset` into `out`.
+    fn read_frames(&self, r: &Region, offset: u64, out: &mut [u8]) {
+        let mut cursor = 0usize;
+        for (frame, in_frame, take) in r.pieces(offset, out.len() as u64) {
+            self.mem
+                .frame_read(frame, in_frame, &mut out[cursor..cursor + take]);
+            cursor += take;
+        }
     }
 
     /// Direct remote write: deposits `data` at `offset` within `region` on
@@ -583,7 +610,14 @@ impl Vmmc {
         data: &[u8],
         now: SimTime,
     ) -> Result<SendTiming, VmmcError> {
-        let (owner, pieces) = self.check_remote(from, region, offset, data.len() as u64)?;
+        // The bytes land under the region-table lock, before the SAN is
+        // charged: nothing observes frame contents in between.
+        let owner = {
+            let s = self.state.lock();
+            let r = Self::check_remote(&s, from, region, [(offset, data.len() as u64)])?;
+            self.write_frames(r, offset, data);
+            r.owner
+        };
         let timing = if owner == from {
             // Local deposit: a memory copy, no SAN involvement.
             SendTiming {
@@ -593,12 +627,6 @@ impl Vmmc {
         } else {
             self.san.send(from, owner, data.len() as u64, now)
         };
-        let mut cursor = 0usize;
-        for (frame, in_frame, take) in pieces {
-            self.mem
-                .frame_write(frame, in_frame, &data[cursor..cursor + take]);
-            cursor += take;
-        }
         if let Some(o) = self.obs_on() {
             o.span(
                 Layer::Vmmc,
@@ -646,14 +674,20 @@ impl Vmmc {
         len: u64,
         now: SimTime,
     ) -> Result<(Vec<u8>, SimTime), VmmcError> {
-        let (owner, pieces) = self.check_remote(from, region, offset, len)?;
+        let mut data = vec![0u8; len as usize];
+        let owner = {
+            let s = self.state.lock();
+            let r = Self::check_remote(&s, from, region, [(offset, len)])?;
+            self.read_frames(r, offset, &mut data);
+            r.owner
+        };
         let done = if owner == from {
             now
         } else {
             // Chaos: a dropped fetch request or reply costs the requester
             // a timeout, after which the (idempotent) fetch is re-issued
-            // with exponential backoff. Data is read exactly once, after
-            // the final successful round-trip.
+            // with exponential backoff. Data was read exactly once above;
+            // only the completion time depends on the retries.
             let mut issue = now;
             if let Some(c) = self.chaos_wire() {
                 let (r, timeout) = c.fetch_retries(from.0, owner.0);
@@ -694,13 +728,6 @@ impl Vmmc {
             }
             self.san.fetch(from, owner, len, issue)
         };
-        let mut data = vec![0u8; len as usize];
-        let mut cursor = 0usize;
-        for (frame, in_frame, take) in pieces {
-            self.mem
-                .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
-            cursor += take;
-        }
         if let Some(o) = self.obs_on() {
             o.span(
                 Layer::Vmmc,
@@ -751,14 +778,15 @@ impl Vmmc {
         now: SimTime,
     ) -> Result<SendTiming, VmmcError> {
         assert!(!segs.is_empty(), "empty batched write");
-        let mut owner = None;
-        let mut all_pieces = Vec::with_capacity(segs.len());
-        for (offset, data) in segs {
-            let (o, pieces) = self.check_remote(from, region, *offset, data.len() as u64)?;
-            owner = Some(o);
-            all_pieces.push(pieces);
-        }
-        let owner = owner.unwrap();
+        let owner = {
+            let s = self.state.lock();
+            let ranges = segs.iter().map(|(off, d)| (*off, d.len() as u64));
+            let r = Self::check_remote(&s, from, region, ranges)?;
+            for (offset, data) in segs {
+                self.write_frames(r, *offset, data);
+            }
+            r.owner
+        };
         let total: u64 = segs.iter().map(|(_, d)| d.len() as u64).sum();
         let timing = if owner == from {
             SendTiming {
@@ -769,14 +797,6 @@ impl Vmmc {
             let lens: Vec<u64> = segs.iter().map(|(_, d)| d.len() as u64).collect();
             self.san.send_multi(from, owner, &lens, now)
         };
-        for ((_, data), pieces) in segs.iter().zip(all_pieces) {
-            let mut cursor = 0usize;
-            for (frame, in_frame, take) in pieces {
-                self.mem
-                    .frame_write(frame, in_frame, &data[cursor..cursor + take]);
-                cursor += take;
-            }
-        }
         if let Some(o) = self.obs_on() {
             o.span(
                 Layer::Vmmc,
@@ -816,7 +836,7 @@ impl Vmmc {
     /// the same order. Like [`Vmmc::remote_fetch`], a dropped request or
     /// reply costs the requester a timeout and the whole (idempotent)
     /// batch is re-issued with exponential backoff; data is read exactly
-    /// once after the final successful round trip.
+    /// once.
     ///
     /// # Errors
     ///
@@ -830,14 +850,17 @@ impl Vmmc {
         now: SimTime,
     ) -> Result<(Vec<Vec<u8>>, Vec<SimTime>), VmmcError> {
         assert!(!segs.is_empty(), "empty batched fetch");
-        let mut owner = None;
-        let mut all_pieces = Vec::with_capacity(segs.len());
-        for (offset, len) in segs {
-            let (o, pieces) = self.check_remote(from, region, *offset, *len)?;
-            owner = Some(o);
-            all_pieces.push(pieces);
-        }
-        let owner = owner.unwrap();
+        let mut out = Vec::with_capacity(segs.len());
+        let owner = {
+            let s = self.state.lock();
+            let r = Self::check_remote(&s, from, region, segs.iter().copied())?;
+            for (offset, len) in segs {
+                let mut data = vec![0u8; *len as usize];
+                self.read_frames(r, *offset, &mut data);
+                out.push(data);
+            }
+            r.owner
+        };
         let total: u64 = segs.iter().map(|(_, l)| *l).sum();
         let times = if owner == from {
             vec![now; segs.len()]
@@ -881,17 +904,6 @@ impl Vmmc {
             let lens: Vec<u64> = segs.iter().map(|(_, l)| *l).collect();
             self.san.fetch_multi(from, owner, &lens, issue)
         };
-        let mut out = Vec::with_capacity(segs.len());
-        for ((_, len), pieces) in segs.iter().zip(all_pieces) {
-            let mut data = vec![0u8; *len as usize];
-            let mut cursor = 0usize;
-            for (frame, in_frame, take) in pieces {
-                self.mem
-                    .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
-                cursor += take;
-            }
-            out.push(data);
-        }
         let last = *times.last().expect("non-empty batch");
         if let Some(o) = self.obs_on() {
             o.span(

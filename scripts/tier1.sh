@@ -59,6 +59,19 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "==> python3 -m json.tool $f"
         python3 -m json.tool "$f" > /dev/null
     done
+    # The repository benchmark is a workspace of its own that reads the
+    # crates' public stats API: build it against its committed lock file
+    # (a stale perfbench/Cargo.lock fails here) and run one short RADIX
+    # measurement, whose JSON line must report a correct result.
+    echo "==> perfbench smoke (radix, seed 1, 1 s)"
+    cargo build $CARGO_FLAGS --locked --release --manifest-path perfbench/Cargo.toml
+    perfbench_out=$(cargo run $CARGO_FLAGS --locked --release --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload radix --seed 1 --seconds 1 --trace 0)
+    printf '%s\n' "$perfbench_out" | grep '^{' | tail -n 1 | python3 -c '
+import json, sys
+line = json.loads(sys.stdin.read())
+sys.exit(0 if line.get("correct") is True else "tier1: perfbench radix smoke is not correct")'
     # Causal edges must survive export: the trace carries Perfetto flow
     # events (ph "s"/"f" pairs) linking cause to effect across lanes.
     echo "==> check flow events in target/artifacts/trace_fft.json"
